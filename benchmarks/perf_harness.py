@@ -15,7 +15,8 @@ percentiles, simulated time and host wall time:
                            under ``SimProfiler`` to capture simulator hot paths.
 * ``net_incast``        -- N-to-1 RDMA incast with DCQCN on vs off; gates the
                            collapse-avoidance ratio and fairness, and emits
-                           both congestion trajectories to ``BENCH_NET.json``.
+                           both congestion trajectories to ``BENCH_NET.json``
+                           next to the results file.
 
 Usage::
 
@@ -281,7 +282,7 @@ def bench_engine_events(quick: bool) -> Dict[str, Any]:
     """Raw DES-core throughput: dispatched events per host second.
 
     A pure timer/relay stress with no hardware models attached, so the
-    number isolates the engine fast path (slots heap entries, relay
+    number isolates the engine fast path (tuple heap entries, relay
     free-list, ``run_batch`` drain) from workload logic.
     """
     n_procs = 64
@@ -453,9 +454,8 @@ def bench_ring_submit(quick: bool) -> Dict[str, Any]:
 NET_COLLAPSE_RATIO_BOUND = 2.0
 NET_FAIRNESS_BOUND = 0.85
 
-BENCH_NET_OUT = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_NET.json"
-)
+#: The incast trajectory file, written next to the results file.
+BENCH_NET_NAME = "BENCH_NET.json"
 
 
 def _run_incast(nsenders, dcqcn, horizon_ns, *, msg_bytes=64 << 10,
@@ -558,13 +558,14 @@ def _run_incast(nsenders, dcqcn, horizon_ns, *, msg_bytes=64 << 10,
     }
 
 
-def bench_net_incast(quick: bool) -> Dict[str, Any]:
+def bench_net_incast(quick: bool, out_dir: str) -> Dict[str, Any]:
     """N-to-1 incast with and without DCQCN: the collapse-avoidance gate.
 
     DCQCN-off is the collapse point; DCQCN-on must hold at least
     ``NET_COLLAPSE_RATIO_BOUND`` times its goodput with Jain fairness
     above ``NET_FAIRNESS_BOUND``.  Both trajectories (queue depth,
-    drops, marks, aggregate rate over time) land in ``BENCH_NET.json``.
+    drops, marks, aggregate rate over time) land in ``BENCH_NET.json``
+    under ``out_dir``; the detail names it relative to that directory.
     """
     nsenders = 8 if quick else 16
     horizon_ns = 800_000.0 if quick else 2_000_000.0
@@ -592,8 +593,7 @@ def bench_net_incast(quick: bool) -> Dict[str, Any]:
         f"DCQCN-on fairness {on['jain_fairness']:.3f} below the bound "
         f"{NET_FAIRNESS_BOUND}"
     )
-    net_out = os.path.abspath(BENCH_NET_OUT)
-    with open(net_out, "w") as fh:
+    with open(os.path.join(out_dir, BENCH_NET_NAME), "w") as fh:
         json.dump({
             "schema_version": 1,
             "suite": "net_incast",
@@ -617,7 +617,7 @@ def bench_net_incast(quick: bool) -> Dict[str, Any]:
         "goodput_off_gbps": off["goodput_gbps"],
         "tail_drops_on": on["tail_drops"],
         "tail_drops_off": off["tail_drops"],
-        "trajectory_file": net_out,
+        "trajectory_file": BENCH_NET_NAME,
     }
     return _workload(
         "net_incast",
@@ -642,12 +642,17 @@ WORKLOADS = [
 # ----------------------------------------------------------- suite + schema
 
 
-def run_suite(quick: bool = False) -> Dict[str, Any]:
+def run_suite(quick: bool, out_dir: str) -> Dict[str, Any]:
+    """Run every workload; side files (the incast trajectory) go to
+    ``out_dir``, the directory of the results file."""
     t0 = time.perf_counter()
     workloads: List[Dict[str, Any]] = []
     for bench in WORKLOADS:
         print(f"[perf] running {bench.__name__} ...", flush=True)
-        workloads.append(bench(quick))
+        if bench is bench_net_incast:
+            workloads.append(bench(quick, out_dir))
+        else:
+            workloads.append(bench(quick))
     return {
         "schema_version": SCHEMA_VERSION,
         "suite": "perf_harness",
@@ -785,13 +790,13 @@ def main(argv=None) -> int:
               + ("INVALID" if problems else "valid"))
         return 1 if problems else 0
 
-    results = run_suite(quick=args.quick)
+    out = os.path.abspath(args.out)
+    results = run_suite(args.quick, os.path.dirname(out))
     problems = validate_results(results)
     if problems:
         for problem in problems:
             print(f"[perf] schema error: {problem}", file=sys.stderr)
         return 1
-    out = os.path.abspath(args.out)
     with open(out, "w") as fh:
         json.dump(results, fh, indent=2, sort_keys=True)
         fh.write("\n")

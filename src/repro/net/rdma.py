@@ -42,20 +42,6 @@ __all__ = [
     "WrFlushError",
 ]
 
-#: Lazily resolved ``repro.health.PfcStormError`` — the health package
-#: imports this module at init, so the reverse import must be deferred.
-_PFC_STORM_ERROR = None
-
-
-def _pfc_storm_error():
-    global _PFC_STORM_ERROR
-    if _PFC_STORM_ERROR is None:
-        from ..health.errors import PfcStormError
-
-        _PFC_STORM_ERROR = PfcStormError
-    return _PFC_STORM_ERROR
-
-
 class RdmaError(Exception):
     """Unrecoverable QP error (e.g. verbs on an unconnected QP)."""
 
@@ -184,6 +170,12 @@ class _ResponderMsg:
 class RdmaStack:
     """One node's RoCE v2 engine bound to a CMAC port."""
 
+    #: ``repro.health.PfcStormError``, resolved by the first stack built.
+    #: The import is deferred (the health package imports this module at
+    #: init) but must never run in ``_send_packet``'s except clause: a
+    #: sender collected at interpreter exit would import during shutdown.
+    _pfc_storm_error = None
+
     def __init__(
         self,
         env: Environment,
@@ -196,6 +188,10 @@ class RdmaStack:
     ):
         self.env = env
         self.cmac = cmac
+        if RdmaStack._pfc_storm_error is None:
+            from ..health.errors import PfcStormError
+
+            RdmaStack._pfc_storm_error = PfcStormError
         #: Packet source: the raw CMAC queue, or a demuxed per-protocol
         #: queue when the shell runs several networking services at once.
         self._rx_queue = rx_queue if rx_queue is not None else cmac.rx_queue
@@ -469,7 +465,7 @@ class RdmaStack:
         yield self.env.sleep(self.config.per_packet_processing_ns)
         try:
             yield from self.cmac.tx(packet)
-        except _pfc_storm_error():
+        except self._pfc_storm_error:
             # The switch's storm watchdog broke our pause: the frame is
             # treated as lost (the retransmit machinery re-drives tracked
             # PSNs once the fabric recovers) instead of parking forever.

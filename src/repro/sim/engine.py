@@ -11,25 +11,32 @@ Simulated time is a float in **nanoseconds**.  All hardware models in
 
 Fast-path design (pinned by ``tests/test_engine_conformance.py``):
 
-* Events **are** their own heap entries: the ``(time, priority, seq)``
-  schedule key lives in ``__slots__`` on the event and ``__lt__`` compares
-  it, so scheduling allocates no key tuples and ``step()`` unpacks none.
+* Heap entries are ``(time, priority, seq, event)`` tuples.  ``heapq``
+  orders them with C tuple compares; an event-ordered heap called a
+  Python ``__lt__`` ~9.7 times per dispatched event (3.06M calls for
+  316k events on the seed-1 ``rdma_incast`` benchmark), which cost more
+  than allocating the tuple.  ``seq`` is unique, so ``event`` is never
+  compared.
+* One dispatch body: :meth:`Environment.run_batch`.  :meth:`step` is
+  ``run_batch(1)`` and every mode of :meth:`run` drives ``run_batch``,
+  so all drivers dispatch through the same code.
 * Internal one-shot relays (process kick-off, resume-after-processed,
   interrupts, :meth:`Environment.sleep`) come from a per-environment
   **free list** and are recycled right after dispatch.  Only events that
   are never exposed to user code are pooled; anything a process can hold
   a reference to (timeouts it composed into conditions, completion
   events, processes) is never recycled.
-* :meth:`Environment.run` drains through :meth:`Environment.run_batch`,
-  which inlines the step body and checks ``until`` conditions per batch
-  entry only where semantics require it.
+* No separate FIFO lane for zero-delay schedules: although 60-82% of
+  schedules are zero-delay, the heap stays shallow (high water under
+  ~350 on the benchmark workloads) and a second queue measured no
+  faster, only adding merge logic.
 """
 
 from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 __all__ = [
     "Environment",
@@ -107,9 +114,6 @@ class Event:
         "_defused",
         "_recycle",
         "_origin",
-        "_time",
-        "_prio",
-        "_seq",
     )
 
     def __init__(self, env: "Environment"):
@@ -133,17 +137,6 @@ class Event:
         #: Internal one-shot relays return to the environment free list
         #: right after dispatch; never set on user-visible events.
         self._recycle = False
-
-    # The heap holds events directly: the schedule key lives in slots
-    # (written by ``Environment._schedule``) and ``heapq`` orders via
-    # ``__lt__`` — no per-entry key tuple is ever allocated.
-
-    def __lt__(self, other: "Event") -> bool:
-        if self._time != other._time:
-            return self._time < other._time
-        if self._prio != other._prio:
-            return self._prio < other._prio
-        return self._seq < other._seq
 
     @property
     def triggered(self) -> bool:
@@ -170,7 +163,7 @@ class Event:
             raise SimulationError("event already triggered")
         self._ok = True
         self._value = value
-        self.env._schedule(self, delay=0.0, priority=priority)
+        self.env._schedule(self, 0.0, priority)
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -180,7 +173,7 @@ class Event:
             raise SimulationError("fail() needs an exception instance")
         self._ok = False
         self._value = exception
-        self.env._schedule(self, delay=0.0, priority=priority)
+        self.env._schedule(self, 0.0, priority)
         return self
 
     def defuse(self) -> "Event":
@@ -218,7 +211,7 @@ class Timeout(Event):
         super().__init__(env)
         self._value = value
         self.delay = delay
-        env._schedule(self, delay=delay, priority=NORMAL)
+        env._schedule(self, delay, NORMAL)
 
     def succeed(self, value: Any = None, priority: int = NORMAL) -> "Event":
         raise SimulationError("a Timeout triggers by itself when its delay elapses")
@@ -262,19 +255,20 @@ class Process(Event):
         )
 
     def _resume(self, event: Event) -> None:
-        if not self.is_alive:
+        if self._ok is not None:
             return
         # Detach from the event we were waiting for (interrupt case) and
         # mark it abandoned so queue-like resources (Store, Resource,
         # Container) skip it instead of delivering into a dead process.
-        if self._target is not None and self._target is not event:
-            if self._target.callbacks is not None:
+        waited = self._target
+        if waited is not None and waited is not event:
+            if waited.callbacks is not None:
                 try:
-                    self._target.callbacks.remove(self._resume)
+                    waited.callbacks.remove(self._resume)
                 except ValueError:
                     pass
-                if not self._target.callbacks:
-                    self._target._abandoned = True
+                if not waited.callbacks:
+                    waited._abandoned = True
         self._target = None
         try:
             if event._ok:
@@ -365,11 +359,11 @@ class AnyOf(_Condition):
 
 
 class Environment:
-    """The event loop: a heap of events ordered by (time, priority, seq)."""
+    """The event loop: a heap of ``(time, priority, seq, event)`` entries."""
 
     def __init__(self, initial_time: float = 0.0):
         self.now = float(initial_time)
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, int, Event]] = []
         self._seq = itertools.count()
         self._active = True
         #: Free list of recyclable internal relay events (see Event).
@@ -395,11 +389,8 @@ class Environment:
         if self.sanitizer is not None:
             self.sanitizer.on_schedule(self, delay)
         event._scheduled = True
-        event._time = self.now + delay
-        event._prio = priority
-        event._seq = next(self._seq)
         queue = self._queue
-        heappush(queue, event)
+        heappush(queue, (self.now + delay, priority, next(self._seq), event))
         if len(queue) > self.queue_high_water:
             self.queue_high_water = len(queue)
 
@@ -471,48 +462,20 @@ class Environment:
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     # -- execution -------------------------------------------------------
 
     def step(self) -> None:
         """Process the next scheduled event."""
-        queue = self._queue
-        if not queue:
+        if not self.run_batch(1):
             raise SimulationError("no more events")
-        event = heappop(queue)
-        when = event._time
-        if self.sanitizer is not None:
-            self.sanitizer.on_step(self, when)
-        self.now = when
-        self.events_processed += 1
-        if event._ok is None:
-            event._ok = True  # a Timeout/sleep triggers as it dispatches
-        callbacks, event.callbacks = event.callbacks, None
-        if self.profiler is not None:
-            self.profiler.run_callbacks(event, callbacks)
-        else:
-            for callback in callbacks:
-                callback(event)
-        if event._ok is False and not event._defused:
-            # An unhandled failure propagates out of the simulation.
-            raise event._value
-        if event._recycle:
-            self._reclaim(event)
 
     def run_batch(self, max_events: Optional[int] = None) -> int:
         """Drain up to ``max_events`` events (all, when ``None``).
 
-        This is the engine's bulk fast path: the step body is inlined in
-        one loop with the queue, profiler and sanitizer bound to locals,
-        so a long drain pays no per-event method dispatch and no
-        ``until`` re-checks.  Returns the number of events processed.
-        Semantics are step-for-step identical to calling :meth:`step` in
-        a loop (the conformance suite pins this).
+        The engine's only dispatch body: the queue, profiler and
+        sanitizer are bound to locals, so a long drain pays no per-event
+        method dispatch and no ``until`` re-checks.  Returns the number
+        of events processed (0 when the queue is empty).
         """
         queue = self._queue
         sanitizer = self.sanitizer
@@ -520,8 +483,7 @@ class Environment:
         budget = max_events if max_events is not None else -1
         processed = 0
         while queue and budget != 0:
-            event = heappop(queue)
-            when = event._time
+            when, _, _, event = heappop(queue)
             if sanitizer is not None:
                 sanitizer.on_step(self, when)
             self.now = when
@@ -532,7 +494,7 @@ class Environment:
             processed += 1
             budget -= 1
             if event._ok is None:
-                event._ok = True
+                event._ok = True  # a Timeout/sleep triggers as it dispatches
             callbacks, event.callbacks = event.callbacks, None
             if profiler is not None:
                 profiler.run_callbacks(event, callbacks)
@@ -540,6 +502,7 @@ class Environment:
                 for callback in callbacks:
                     callback(event)
             if event._ok is False and not event._defused:
+                # An unhandled failure propagates out of the simulation.
                 raise event._value
             if event._recycle:
                 self._reclaim(event)
@@ -557,14 +520,15 @@ class Environment:
             return None
         if isinstance(until, Event):
             sentinel = until
-            step = self.step
+            queue = self._queue
+            run_batch = self.run_batch
             while sentinel.callbacks is not None:
-                if not self._queue:
+                if not queue:
                     raise SimulationError(
                         "simulation ran out of events before the awaited "
                         f"event triggered ({sentinel!r}); likely deadlock"
                     )
-                step()
+                run_batch(1)
             if sentinel._ok is False:
                 raise sentinel._value
             return sentinel._value
@@ -572,13 +536,13 @@ class Environment:
         if horizon < self.now:
             raise SimulationError("cannot run into the past")
         queue = self._queue
-        step = self.step
-        while queue and queue[0]._time <= horizon:
-            step()
+        run_batch = self.run_batch
+        while queue and queue[0][0] <= horizon:
+            run_batch(1)
         self.now = horizon
         return None
 
     @property
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
-        return self._queue[0]._time if self._queue else float("inf")
+        return self._queue[0][0] if self._queue else float("inf")

@@ -1,7 +1,7 @@
 """Engine conformance & property suite: the contract for DES-core rewrites.
 
 The event engine is the hottest loop in the repository, and every speedup
-to it (slots-based heap entries, relay free-lists, inlined fast paths) is
+to it (tuple heap entries, relay free-lists, one dispatch body) is
 only safe if the *exact* semantics are pinned down first.  This suite is
 that pin:
 
@@ -12,12 +12,11 @@ that pin:
   interleaving (not just final results) feeds back into the scenario:
   any reordering of simultaneous events produces a visibly different
   trace.
-* Every engine step is recorded as a ``(time, priority, seq, kind)``
-  tuple straight off the heap.  The recorder understands both heap-entry
-  shapes — pre-refactor ``(time, prio, seq, event)`` tuples and
-  slots-based events carrying their own key — so the same recorder
-  produced the golden fixtures *before* the rewrite and verifies them
-  after.
+* Every dispatch is recorded as a ``(time, priority, seq, kind)`` tuple
+  taken from the ``(time, prio, seq, event)`` heap entry as the engine
+  pops it, so the same recording works under every dispatch driver
+  (a ``step()`` loop, ``run_batch`` drains and slices, ``run(until=t)``
+  increments) and each must reproduce the golden trace.
 * ``tests/fixtures/engine_golden_traces.json`` stores, per seed, the
   sha256 digest of ``repr((trace, log))`` plus summary fields.  The
   fixtures were recorded against the pre-refactor engine; a digest
@@ -32,6 +31,7 @@ that pin:
   repeats the double-run digest check with the SimSanitizer active.
 """
 
+import contextlib
 import hashlib
 import json
 import os
@@ -55,6 +55,7 @@ sys.path.insert(
 )
 
 from repro.analysis import sanitizer as sanitizer_mod
+from repro.sim import engine as engine_mod
 from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt
 
 FIXTURE_PATH = os.path.join(
@@ -157,29 +158,74 @@ def _build_scenario(env, rng, log):
 
 
 def _heap_key(entry):
-    """(time, prio, seq, kind) for either heap-entry shape.
-
-    Pre-refactor the heap held ``(time, prio, seq, event)`` tuples;
-    post-refactor it holds slots-based events carrying their own key.
-    """
-    if isinstance(entry, tuple):
-        when, prio, seq, event = entry
-    else:
-        event = entry
-        when, prio, seq = entry._time, entry._prio, entry._seq
+    """(time, prio, seq, kind) of one ``(time, prio, seq, event)`` entry."""
+    when, prio, seq, event = entry
     return float(when), int(prio), int(seq), type(event).__name__
 
 
-def record_trace(seed):
-    """Run the seeded scenario to exhaustion, recording every dispatch."""
+@contextlib.contextmanager
+def _recording_pops(trace):
+    """Append the key of every heap entry the engine pops to ``trace``.
+
+    The dispatch body pops through the module-level ``heappop``, so
+    wrapping it sees each dispatch whichever driver runs the loop."""
+    original = engine_mod.heappop
+
+    def heappop(queue):
+        entry = original(queue)
+        trace.append(_heap_key(entry))
+        return entry
+
+    engine_mod.heappop = heappop
+    try:
+        yield
+    finally:
+        engine_mod.heappop = original
+
+
+#: Time increment of the ``run(until=t)`` driver, in ns: below the
+#: spacing of most scenario events, so many slices are empty or hold one.
+RUN_UNTIL_INCREMENT_NS = 3.0
+
+
+def _drive_step(env):
+    while env._queue:
+        env.step()
+
+
+def _drive_run_until(env):
+    while env._queue:
+        env.run(until=env.now + RUN_UNTIL_INCREMENT_NS)
+
+
+def _batch_driver(k):
+    def drive(env):
+        while env.run_batch(k):
+            pass
+
+    return drive
+
+
+DRIVERS = {
+    "step": _drive_step,
+    "run_batch": lambda env: env.run_batch(),
+    "run_batch_1": _batch_driver(1),
+    "run_batch_7": _batch_driver(7),
+    "run_batch_1000": _batch_driver(1000),
+    "run_until": _drive_run_until,
+}
+
+
+def record_trace(seed, drive=_drive_step):
+    """Run the seeded scenario to exhaustion under ``drive``, recording
+    every dispatch."""
     env = Environment()
     rng = random.Random(seed)
     log = []
     _build_scenario(env, rng, log)
     trace = []
-    while env._queue:
-        trace.append(_heap_key(env._queue[0]))
-        env.step()
+    with _recording_pops(trace):
+        drive(env)
     return trace, log, env
 
 
@@ -195,16 +241,25 @@ def _load_fixtures():
 # ------------------------------------------------------- golden fixtures
 
 
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
 @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
-def test_golden_trace_matches_pre_refactor_recording(seed):
+def test_golden_trace_matches_pre_refactor_recording(seed, driver):
     fixtures = _load_fixtures()
     golden = fixtures["seeds"][str(seed)]
-    trace, log, env = record_trace(seed)
+    trace, log, env = record_trace(seed, DRIVERS[driver])
     assert len(trace) == golden["events"], (
         f"seed {seed}: engine dispatched {len(trace)} events, golden recorded "
         f"{golden['events']}"
     )
-    assert env.now == golden["final_time"]
+    assert env.events_processed == golden["events"]
+    # The last dispatch sets the final time; run(until=t) then advances
+    # the clock on to its horizon, which must not have been reached early.
+    assert trace[-1][0] == golden["final_time"]
+    if driver == "run_until":
+        assert golden["final_time"] <= env.now
+        assert env.now < golden["final_time"] + RUN_UNTIL_INCREMENT_NS
+    else:
+        assert env.now == golden["final_time"]
     head = [list(row) for row in trace[: len(golden["head"])]]
     assert head == golden["head"], f"seed {seed}: first dispatches diverged"
     assert trace_digest(trace, log) == golden["digest"], (

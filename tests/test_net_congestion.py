@@ -2,6 +2,10 @@
 storm detection, DCQCN rate control, the leaf/spine topology and the
 ``net.ecn_suppress`` / ``net.pause_drop`` fault sites."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -553,3 +557,29 @@ def test_congestion_telemetry_in_card_report_and_cluster_snapshot():
     depth = snap.gauge("net.port.0.queue_bytes")
     assert depth.value == 0.0
     assert depth.high_water >= 0.0
+
+
+#: Stops an incast mid-flight, so senders stay parked in
+#: ``RdmaStack._send_packet`` when the interpreter exits (the
+#: ``perfbench/NOTES.md`` reproducer).
+_PARKED_SENDERS_AT_EXIT = """
+import sys
+sys.path[:0] = ['src', 'perfbench']
+from workloads import RdmaIncast
+w = RdmaIncast(1); w.setup()
+[w.env.process(w._sender(i, [])) for i in range(w.senders)]
+w.env.run(until=200_000.0)
+"""
+
+
+def test_senders_parked_at_interpreter_exit_print_nothing():
+    """Collecting a sender parked in ``_send_packet`` at shutdown
+    evaluates its ``except PfcStormError`` clause; that must not import
+    (the import machinery is gone by then and a traceback hits stderr)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PARKED_SENDERS_AT_EXIT],
+        cwd=root, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

@@ -7,11 +7,17 @@ import sys
 
 import pytest
 
-HARNESS = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "benchmarks",
-    "perf_harness.py",
-)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HARNESS = os.path.join(ROOT, "benchmarks", "perf_harness.py")
+ROOT_BENCH_NET = os.path.join(ROOT, "BENCH_NET.json")
+
+
+def _file_state(path):
+    """(bytes, mtime_ns) of ``path``, or None when it does not exist."""
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as fh:
+        return fh.read(), os.stat(path).st_mtime_ns
 
 
 @pytest.fixture(scope="module")
@@ -24,8 +30,28 @@ def harness():
 
 
 @pytest.fixture(scope="module")
-def quick_results(harness):
-    return harness.run_suite(quick=True)
+def quick_run(harness, tmp_path_factory):
+    """The quick suite writing under a temporary directory, plus the
+    repo-root ``BENCH_NET.json`` state from before it ran."""
+    root_before = _file_state(ROOT_BENCH_NET)
+    out_dir = tmp_path_factory.mktemp("bench")
+    results = harness.run_suite(True, str(out_dir))
+    return results, out_dir, root_before
+
+
+@pytest.fixture(scope="module")
+def quick_results(quick_run):
+    return quick_run[0]
+
+
+def test_quick_suite_leaves_repo_root_bench_net_untouched(quick_run):
+    results, out_dir, root_before = quick_run
+    assert _file_state(ROOT_BENCH_NET) == root_before
+    incast = {wl["name"]: wl for wl in results["workloads"]}["net_incast"]
+    trajectory = incast["detail"]["trajectory_file"]
+    assert not os.path.isabs(trajectory)
+    with open(os.path.join(out_dir, trajectory)) as fh:
+        assert json.load(fh)["senders"] == incast["detail"]["senders"]
 
 
 def test_quick_suite_has_all_valid_workloads(harness, quick_results):
@@ -99,5 +125,6 @@ def test_cli_writes_and_validates_file(harness, tmp_path):
     assert harness.main(["--validate", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["quick"] is True
+    assert (tmp_path / "BENCH_NET.json").exists()
     out.write_text(json.dumps({"suite": "perf_harness"}))
     assert harness.main(["--validate", str(out)]) == 1
