@@ -121,7 +121,9 @@ class VirtualAllocator:
 
 
 class FrameAllocator:
-    """Free-list allocator of physical page frames for one memory."""
+    """Page-frame allocator for one memory: a lazy bump pointer plus a LIFO
+    free list that is reused first -- the order an eager list of every
+    frame gives, without building that list up front."""
 
     def __init__(self, total_bytes: int, frame_size: int, name: str = "frames"):
         if frame_size <= 0 or total_bytes < frame_size:
@@ -129,14 +131,19 @@ class FrameAllocator:
         self.name = name
         self.frame_size = frame_size
         self.num_frames = total_bytes // frame_size
-        self._free: List[int] = list(range(self.num_frames - 1, -1, -1))
+        self._next = 0  # lowest frame never handed out
+        self._free: List[int] = []
         self._used: Set[int] = set()
 
     def allocate(self) -> int:
         """Return the physical base address of a free frame."""
-        if not self._free:
+        if self._free:
+            frame = self._free.pop()
+        elif self._next < self.num_frames:
+            frame = self._next
+            self._next += 1
+        else:
             raise OutOfMemoryError(f"{self.name}: out of {self.frame_size}-byte frames")
-        frame = self._free.pop()
         self._used.add(frame)
         return frame * self.frame_size
 
@@ -151,7 +158,7 @@ class FrameAllocator:
 
     @property
     def frames_free(self) -> int:
-        return len(self._free)
+        return self.num_frames - len(self._used)
 
     @property
     def frames_used(self) -> int:

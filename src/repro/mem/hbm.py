@@ -6,17 +6,20 @@ dynamic layer stripes buffers across channels (paper §6.1) so a single
 vFPGA can aggregate bandwidth; all card accesses are translated by the MMU
 whose shared translation pipeline is what tapers the scaling curve in
 Figure 7(a).
+
+Each pseudo-channel is a booked port (:mod:`repro.sim.rate`): an access
+books every stripe on its channel and sleeps once, until the last ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator
 
 from ..faults.plan import HBM_ECC_DOUBLE, HBM_ECC_SINGLE
 from ..sim.clock import HBM_CLOCK, Clock
-from ..sim.engine import AllOf, Environment
-from ..sim.resources import Resource
+from ..sim.engine import Environment
+from ..sim.rate import FifoServer
 from .sparse import SparseMemory
 
 __all__ = ["HbmConfig", "HbmController"]
@@ -54,15 +57,15 @@ class HbmController:
 
     Physical addresses are striped: consecutive ``stripe_bytes`` blocks map
     to consecutive channels.  ``read``/``write`` split a request into its
-    stripes and issue them to their channels concurrently, which is exactly
-    what gives the striping speed-up.
+    stripes and book them on their channels at once, which is exactly what
+    gives the striping speed-up.
     """
 
     def __init__(self, env: Environment, config: HbmConfig = HbmConfig()):
         self.env = env
         self.config = config
         self._mem = SparseMemory(config.total_bytes, name="hbm")
-        self._channels = [Resource(env, capacity=1) for _ in range(config.num_channels)]
+        self._channels = [FifoServer(env) for _ in range(config.num_channels)]
         self.bytes_read = 0
         self.bytes_written = 0
         #: Per-pseudo-channel access counts: striping skew shows up here
@@ -90,45 +93,41 @@ class HbmController:
 
     # -- timed access --------------------------------------------------------
 
-    def _channel_access(self, channel: int, nbytes: int) -> Generator:
-        self.channel_accesses[channel] += 1
-        grant = self._channels[channel].request()
-        yield grant
-        try:
-            cycles = -(-nbytes // self.config.port_width_bytes)
-            delay = self.config.access_latency_ns + self.config.clock.cycles_to_ns(cycles)
-            if self.faults is not None:
-                if self.faults.fires(HBM_ECC_SINGLE, channel):
+    def _book(self, addr: int, length: int) -> float:
+        """Book every stripe of [addr, addr+length) on its channel; returns
+        the time the last stripe ends."""
+        config = self.config
+        faults = self.faults
+        end = self.env.now
+        for channel, _addr, nbytes in self._stripes(addr, length):
+            self.channel_accesses[channel] += 1
+            cycles = -(-nbytes // config.port_width_bytes)
+            delay = config.access_latency_ns + config.clock.cycles_to_ns(cycles)
+            if faults is not None:
+                if faults.fires(HBM_ECC_SINGLE, channel):
                     # SECDED corrects single-bit flips inline: data intact,
                     # only the event is counted (scrubber telemetry).
                     self.ecc_corrected += 1
-                if self.faults.fires(HBM_ECC_DOUBLE, channel):
+                if faults.fires(HBM_ECC_DOUBLE, channel):
                     # Double-bit error: the controller re-reads the burst
                     # (doubling the access time) and succeeds — modeled as
                     # a transient; the event is surfaced via card_report().
                     self.ecc_uncorrected += 1
                     delay *= 2.0
-            yield self.env.timeout(delay)
-        finally:
-            self._channels[channel].release(grant)
+            stripe_end = self._channels[channel].book(delay)
+            if stripe_end > end:
+                end = stripe_end
+        return end
 
     def read(self, addr: int, length: int) -> Generator:
         """Timed read returning the stored bytes."""
-        events = [
-            self.env.process(self._channel_access(ch, n))
-            for ch, _a, n in self._stripes(addr, length)
-        ]
-        yield AllOf(self.env, events)
+        yield self.env.sleep_until(self._book(addr, length))
         self.bytes_read += length
         return self._mem.read(addr, length)
 
     def write(self, addr: int, data: bytes) -> Generator:
         """Timed write of a byte payload."""
-        events = [
-            self.env.process(self._channel_access(ch, n))
-            for ch, _a, n in self._stripes(addr, len(data))
-        ]
-        yield AllOf(self.env, events)
+        yield self.env.sleep_until(self._book(addr, len(data)))
         self._mem.write(addr, data)
         self.bytes_written += len(data)
 
@@ -139,6 +138,3 @@ class HbmController:
 
     def write_now(self, addr: int, data: bytes) -> None:
         self._mem.write(addr, data)
-
-    def channel_utilization(self) -> list:
-        return [len(c.users) for c in self._channels]

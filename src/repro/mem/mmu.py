@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Generator, Optional, Tuple
 
 from ..sim.engine import Environment
-from ..sim.resources import Resource
+from ..sim.rate import FifoServer
 from .tlb import MemLocation, Tlb, TlbConfig, TlbEntry
 
 __all__ = ["PageTable", "PageTableEntry", "Mmu", "MmuConfig", "SegmentationFault"]
@@ -119,7 +119,7 @@ class Mmu:
         self.config = config
         self.name = name
         self.tlb = Tlb(config.tlb)
-        self._xlat = Resource(env, capacity=config.xlat_stations)
+        self._xlat = FifoServer(env, config.xlat_stations)
         self.walk_fn: Optional[Callable] = None
         self.walk_any_fn: Optional[Callable] = None
         self.page_faults = 0
@@ -138,19 +138,14 @@ class Mmu:
     ) -> Generator:
         """Translate one packet's address; returns the physical address.
 
-        Charges the shared translation-pipeline occupancy (taper source)
-        plus, on a miss, the driver walk.
+        Books one of the shared translation-pipeline stations for
+        ``xlat_service_ns`` (the taper source), looks the TLB up when the
+        booking ends and, on a miss, adds the driver walk.
         """
-        grant = self._xlat.request()
-        yield grant
-        try:
-            yield self.env.timeout(self.config.xlat_service_ns)
-            entry = self.tlb.lookup(vaddr)
-            if entry is not None and entry.location is location:
-                paddr = (entry.ppn << self.tlb.config.page_shift) | self.tlb.offset_of(vaddr)
-                return paddr
-        finally:
-            self._xlat.release(grant)
+        yield self.env.sleep_until(self._xlat.book(self.config.xlat_service_ns))
+        entry = self.tlb.lookup(vaddr)
+        if entry is not None and entry.location is location:
+            return (entry.ppn << self.tlb.config.page_shift) | self.tlb.offset_of(vaddr)
         # Miss path: fall back to the host-side driver (outside the
         # translation pipeline so hits are not blocked behind walks).
         if self.walk_fn is None:
@@ -158,12 +153,7 @@ class Mmu:
         self.walks += 1
         yield self.env.timeout(TLB_MISS_WALK_NS)
         paddr = yield self.env.process(self.walk_fn(pid, vaddr, location, writable))
-        ppn = paddr >> self.tlb.config.page_shift
-        self.tlb.insert(
-            TlbEntry(
-                vpn=self.tlb.vpn_of(vaddr), ppn=ppn, location=location, writable=writable
-            )
-        )
+        self.prefill(vaddr, paddr, location, writable)
         return paddr
 
     def translate_any(self, pid: int, vaddr: int, writable: bool = False) -> Generator:
@@ -173,33 +163,21 @@ class Mmu:
         this is the path that lets the datapath issue direct PCIe
         peer-to-peer transfers to GPU-resident pages.
         """
-        grant = self._xlat.request()
-        yield grant
-        try:
-            yield self.env.timeout(self.config.xlat_service_ns)
-            entry = self.tlb.lookup(vaddr)
-            if entry is not None:
-                paddr = (entry.ppn << self.tlb.config.page_shift) | self.tlb.offset_of(vaddr)
-                return entry.location, paddr
-        finally:
-            self._xlat.release(grant)
+        yield self.env.sleep_until(self._xlat.book(self.config.xlat_service_ns))
+        entry = self.tlb.lookup(vaddr)
+        if entry is not None:
+            paddr = (entry.ppn << self.tlb.config.page_shift) | self.tlb.offset_of(vaddr)
+            return entry.location, paddr
         if self.walk_any_fn is None:
             raise SegmentationFault(f"{self.name}: no driver bound")
         self.walks += 1
         yield self.env.timeout(TLB_MISS_WALK_NS)
         location, paddr = yield self.env.process(self.walk_any_fn(pid, vaddr, writable))
-        self.tlb.insert(
-            TlbEntry(
-                vpn=self.tlb.vpn_of(vaddr),
-                ppn=paddr >> self.tlb.config.page_shift,
-                location=location,
-                writable=writable,
-            )
-        )
+        self.prefill(vaddr, paddr, location, writable)
         return location, paddr
 
     def prefill(self, vaddr: int, paddr: int, location: MemLocation, writable: bool = True) -> None:
-        """Install a translation without a walk (driver-initiated, e.g. getMem)."""
+        """Install a translation (driver-initiated, e.g. getMem, or a walk's result)."""
         self.tlb.insert(
             TlbEntry(
                 vpn=self.tlb.vpn_of(vaddr),

@@ -14,7 +14,7 @@ from typing import Generator
 
 from ..faults.plan import PCIE_REPLAY
 from ..sim.engine import Environment
-from ..sim.resources import Resource
+from ..sim.rate import FifoServer
 
 __all__ = ["PcieLinkConfig", "PcieLink"]
 
@@ -35,7 +35,8 @@ class PcieLinkConfig:
 class PcieLink:
     """Serialises DMA transfers per direction at the configured bandwidth.
 
-    Transfers are admitted FIFO per direction; fairness between tenants is
+    Each direction is a booked port (:mod:`repro.sim.rate`), served FIFO;
+    fairness between tenants is
     achieved above this layer by the shell's packetizer and round-robin
     interleaver, which keep individual occupancies to one packet.
     """
@@ -43,9 +44,7 @@ class PcieLink:
     def __init__(self, env: Environment, config: PcieLinkConfig = PcieLinkConfig()):
         self.env = env
         self.config = config
-        self._h2c = Resource(env, capacity=1)
-        self._c2h = Resource(env, capacity=1)
-        self._directions = {"h2c": self._h2c, "c2h": self._c2h}
+        self._directions = {"h2c": FifoServer(env), "c2h": FifoServer(env)}
         self.h2c_bytes = 0
         self.c2h_bytes = 0
         self.h2c_transfers = 0
@@ -58,46 +57,34 @@ class PcieLink:
         self.replays = 0
 
     def in_flight(self, direction: str) -> int:
-        """Transfers currently holding or queued for one direction."""
-        resource = self._directions[direction]
-        return len(resource.users) + len(resource._waiting)
+        """Transfers currently in service or queued in one direction."""
+        return self._directions[direction].in_flight
 
-    def _replay_penalty_ns(self, direction: str) -> float:
-        """Link-layer fault check: a replayed TLP costs extra latency but
-        the transfer still delivers intact data (LCRC catches the error)."""
-        if self.faults is not None and self.faults.fires(PCIE_REPLAY, direction):
+    def _occupy(self, name: str, nbytes: int, bandwidth: float, overhead: bool) -> Generator:
+        """Book one transfer on direction ``name`` and wait for its end."""
+        duration = nbytes / bandwidth
+        if overhead:
+            duration += self.config.descriptor_overhead_ns
+        if self.faults is not None and self.faults.fires(PCIE_REPLAY, name):
+            # A TLP failed its LCRC: the replay costs latency, the data
+            # still arrives intact.  Decided at booking, like the rest.
             self.replays += 1
-            return self.config.replay_latency_ns
-        return 0.0
-
-    def _occupy(self, name: str, duration_ns: float) -> Generator:
+            duration += self.config.replay_latency_ns
         direction = self._directions[name]
-        grant = direction.request()
-        depth = self.in_flight(name)
+        end = direction.book(duration)
+        depth = direction.in_flight
         if depth > self.in_flight_high_water[name]:
             self.in_flight_high_water[name] = depth
-        yield grant
-        try:
-            yield self.env.timeout(duration_ns)
-        finally:
-            direction.release(grant)
+        yield self.env.sleep_until(end)
 
     def h2c(self, nbytes: int, overhead: bool = True) -> Generator:
         """Move ``nbytes`` from host memory to the card."""
-        duration = nbytes / self.config.h2c_bandwidth
-        if overhead:
-            duration += self.config.descriptor_overhead_ns
-        duration += self._replay_penalty_ns("h2c")
-        yield from self._occupy("h2c", duration)
+        yield from self._occupy("h2c", nbytes, self.config.h2c_bandwidth, overhead)
         self.h2c_bytes += nbytes
         self.h2c_transfers += 1
 
     def c2h(self, nbytes: int, overhead: bool = True) -> Generator:
         """Move ``nbytes`` from the card to host memory."""
-        duration = nbytes / self.config.c2h_bandwidth
-        if overhead:
-            duration += self.config.descriptor_overhead_ns
-        duration += self._replay_penalty_ns("c2h")
-        yield from self._occupy("c2h", duration)
+        yield from self._occupy("c2h", nbytes, self.config.c2h_bandwidth, overhead)
         self.c2h_bytes += nbytes
         self.c2h_transfers += 1

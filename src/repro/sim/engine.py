@@ -452,11 +452,23 @@ class Environment:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
+        return self.sleep_until(self.now + delay)
+
+    def sleep_until(self, when: float) -> Event:
+        """:meth:`sleep` until the absolute time ``when``: a booked port's
+        end (:mod:`repro.sim.rate`), which ``now + (end - now)`` can miss
+        by an ulp."""
+        if when < self.now:
+            raise SimulationError(f"cannot sleep until the past ({when!r})")
         pool = self._relay_pool
         event = pool.pop() if pool else Event(self)
         event._recycle = True
         # _ok stays None: like a Timeout, it triggers at dispatch.
-        self._schedule(event, delay, NORMAL)
+        event._scheduled = True
+        queue = self._queue
+        heappush(queue, (when, NORMAL, next(self._seq), event))
+        if len(queue) > self.queue_high_water:
+            self.queue_high_water = len(queue)
         return event
 
     def process(self, generator: Generator, name: str = "") -> Process:

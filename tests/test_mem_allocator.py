@@ -109,3 +109,52 @@ def test_frame_accounting_invariant(ops):
             fa.free(held.pop())
         assert fa.frames_free + fa.frames_used == fa.num_frames
         assert fa.frames_used == len(held)
+
+
+class _EagerFrames:
+    """Reference model: the eager list of every frame the allocator used
+    to build up front (lowest frame on top, freed frames pushed back)."""
+
+    def __init__(self, num_frames):
+        self.free = list(range(num_frames - 1, -1, -1))
+
+    def allocate(self):
+        return self.free.pop() if self.free else None
+
+    def release(self, frame):
+        self.free.append(frame)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_frames=st.integers(min_value=1, max_value=24),
+    ops=st.lists(st.tuples(st.booleans(), st.integers(min_value=0, max_value=63)), max_size=120),
+)
+def test_lazy_frames_match_eager_free_list(num_frames, ops):
+    """Same addresses as the eager list, and OOM at exactly num_frames."""
+    fa = FrameAllocator(total_bytes=num_frames * PAGE_4K, frame_size=PAGE_4K)
+    ref = _EagerFrames(num_frames)
+    held = []
+    for do_alloc, pick in ops:
+        if do_alloc or not held:
+            expected = ref.allocate()
+            if expected is None:
+                assert len(held) == num_frames
+                with pytest.raises(OutOfMemoryError):
+                    fa.allocate()
+                continue
+            paddr = fa.allocate()
+            assert paddr == expected * PAGE_4K
+            held.append(paddr)
+        else:
+            paddr = held.pop(pick % len(held))
+            fa.free(paddr)
+            ref.release(paddr // PAGE_4K)
+        assert fa.frames_used == len(held)
+        assert fa.frames_free == num_frames - len(held)
+    # Drain: exactly the frames left over, then out of memory.
+    for _ in range(num_frames - len(held)):
+        fa.allocate()
+    with pytest.raises(OutOfMemoryError):
+        fa.allocate()
+

@@ -89,3 +89,77 @@ def test_unaligned_request_splits_at_stripe_boundary():
     stripes = list(hbm._stripes(4000, 200))
     # Crosses the 4096 boundary: 96 bytes on channel 0, 104 on channel 1.
     assert stripes == [(0, 4000, 96), (1, 4096, 104)]
+
+
+def _stripe_ns(cfg, nbytes):
+    cycles = -(-nbytes // cfg.port_width_bytes)
+    return cfg.access_latency_ns + cfg.clock.cycles_to_ns(cycles)
+
+
+def _finish_times(cfg, addrs, nbytes):
+    """Finish time of concurrent ``nbytes`` reads issued at t=0."""
+    env = Environment()
+    hbm = HbmController(env, cfg)
+    done = {}
+
+    def reader(addr):
+        yield from hbm.read(addr, nbytes)
+        done[addr] = env.now
+
+    for addr in addrs:
+        env.process(reader(addr))
+    env.run()
+    return [done[a] for a in addrs]
+
+
+def test_same_channel_stripes_serialize():
+    cfg = small_config()
+    one = _stripe_ns(cfg, 4096)
+    # Stripes 0, 4 and 8 all map to channel 0: booked back to back.
+    ends = _finish_times(cfg, [0, 4 * 4096, 8 * 4096], 4096)
+    assert ends == [one, 2 * one, 3 * one]
+
+
+def test_different_channel_stripes_overlap():
+    cfg = small_config()
+    one = _stripe_ns(cfg, 4096)
+    ends = _finish_times(cfg, [0, 4096, 2 * 4096, 3 * 4096], 4096)
+    assert ends == [one] * 4
+    # One access spanning all four channels also takes a single stripe time.
+    env = Environment()
+    hbm = HbmController(env, cfg)
+    env.run(env.process(hbm.read(0, 4 * 4096)))
+    assert env.now == one
+    assert hbm.channel_accesses == [1, 1, 1, 1]
+
+
+def test_interrupted_access_keeps_its_channel_booked():
+    """An issued burst completes on the channel even if its caller is
+    interrupted: the next access to that channel queues behind it."""
+    from repro.sim import Interrupt
+
+    cfg = small_config()
+    one = _stripe_ns(cfg, 4096)
+    env = Environment()
+    hbm = HbmController(env, cfg)
+    log = []
+
+    def victim():
+        try:
+            yield from hbm.read(0, 4096)
+        except Interrupt:
+            log.append(("interrupted", env.now))
+
+    def killer(target):
+        yield env.timeout(1.0)
+        target.interrupt()
+
+    def next_reader():
+        yield env.timeout(2.0)
+        yield from hbm.read(4 * 4096, 4096)  # channel 0 again
+        log.append(("next", env.now))
+
+    env.process(killer(env.process(victim())))
+    env.process(next_reader())
+    env.run()
+    assert log == [("interrupted", 1.0), ("next", 2 * one)]

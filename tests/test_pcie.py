@@ -130,3 +130,25 @@ def test_xdma_byte_counters():
     env.run(env.process(proc()))
     assert xdma.link.h2c_bytes == 1100
     assert xdma.link.c2h_bytes == 50
+
+
+def test_in_flight_counts_queued_transfers_and_falls_as_they_end():
+    env = Environment()
+    link = PcieLink(env, PcieLinkConfig(descriptor_overhead_ns=0))
+    samples = []
+
+    def xfer():
+        yield from link.h2c(12_000)  # 1000 ns each at 12 B/ns
+
+    def probe():
+        for t in (0.5, 999.0, 1500.0, 2500.0, 3000.0):
+            yield env.timeout(t - env.now)
+            samples.append(link.in_flight("h2c"))
+
+    for _ in range(3):
+        env.process(xfer())
+    env.process(probe())
+    env.run()
+    assert samples == [3, 3, 2, 1, 0]
+    assert link.in_flight_high_water == {"h2c": 3, "c2h": 0}
+    assert link.in_flight("c2h") == 0
