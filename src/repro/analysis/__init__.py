@@ -3,13 +3,14 @@
 Two halves (DESIGN.md "Correctness tooling"):
 
 * a **static analyzer** (``python -m repro.analysis src tests
-  benchmarks``) with repo-specific AST rules — determinism (DET001/2,
-  SIM001), credit pairing (RES001 lexically, RES002 across helper
-  boundaries), whole-program event flow (EVT001 lost wakeups, EVT002
-  succeed-after-defuse, DLK001 static wait-for cycles), QP protocol
-  conformance (STM001 against the declared ``QP_PROTOCOL`` table),
-  string-registry hygiene (FLT001/TEL001) and generated-doc drift
-  (DOC001) — each waivable with ``# repro: allow[RULE] justification``
+  benchmarks --refs examples perfbench``) with repo-specific AST rules
+  — determinism (DET001/2, SIM001), credit pairing (RES001 lexically,
+  RES002 across helper boundaries), whole-program event flow (EVT001
+  lost wakeups, EVT002 succeed-after-defuse, DLK001 static wait-for
+  cycles), QP protocol conformance (STM001 against the declared
+  ``QP_PROTOCOL`` table), string-registry hygiene (FLT001/TEL001),
+  dead public defs (DED001, with ``--refs`` naming the trees that only
+  use the package) and generated-doc drift (DOC001) — each waivable with ``# repro: allow[RULE] justification``
   (optionally ``until=YYYY-MM-DD``; WAI003 flags expiry);
 * a **runtime SimSanitizer** (``REPRO_SANITIZE=1``) asserting event-time
   monotonicity, credit conservation, telemetry type stability and — at
@@ -18,7 +19,7 @@ Two halves (DESIGN.md "Correctness tooling"):
 
 The interprocedural rules run on a :class:`~repro.analysis.flow.
 ProjectIndex` folding every module into one call graph with def-site
-resolution for events, credit guards and queue pairs.  ``--format
+resolution for events and queue pairs.  ``--format
 sarif`` renders findings as SARIF 2.1.0 for CI annotations.
 
 Stdlib-``ast`` only; the analyzer never imports the tree it checks.

@@ -1,4 +1,4 @@
-"""CLI: ``python -m repro.analysis src tests benchmarks``.
+"""CLI: ``python -m repro.analysis src tests benchmarks --refs examples perfbench``.
 
 Exit status is the CI contract: 0 when the tree is clean, 1 when any
 finding or parse error survives waivers.  ``--explain CODE`` prints one
@@ -71,6 +71,15 @@ def main(argv=None) -> int:
         help="qp.py to read QP_PROTOCOL from for STM001 (default: auto-locate)",
     )
     parser.add_argument(
+        "--refs",
+        nargs="+",
+        type=Path,
+        default=None,
+        metavar="PATH",
+        help="trees that only use the analyzed code (parsed for references, "
+        "not checked); turns on DED001",
+    )
+    parser.add_argument(
         "--format",
         choices=("text", "sarif"),
         default="text",
@@ -121,6 +130,7 @@ def main(argv=None) -> int:
         fault_registry=args.fault_registry,
         qp_protocol=args.qp_protocol,
         today=args.today,
+        reference_roots=args.refs,
     )
     report = render_sarif(result) if args.format == "sarif" else result.render()
     if args.output is not None:

@@ -9,8 +9,10 @@ suite share.  It runs in two phases:
    :class:`~repro.analysis.flow.ProjectIndex` and the interprocedural
    ``flow`` rule families run on it: EVT001/EVT002 (event producer
    reachability), DLK001 (static wait-for cycles), STM001 (QP protocol
-   conformance against the declared ``QP_PROTOCOL`` table) and RES002
-   (credit pairing across helper boundaries).
+   conformance against the declared ``QP_PROTOCOL`` table), RES002
+   (credit pairing across helper boundaries) and — when the caller names
+   the trees that consume the package (``references``) — DED001
+   (public defs in ``src/`` with no reference).
 
 Waivers are applied *after* both phases so a project-level finding can
 be waived at its anchor line like any lexical one, and waiver hygiene
@@ -29,6 +31,7 @@ from .fault_table import check_fault_table
 from .findings import Finding
 from .flow import ProjectIndex
 from .modules import SourceModule, iter_python_files, load_module
+from .rules_dead import check_dead001, referenced_names
 from .rules_determinism import check_det001, check_det002, check_sim001
 from .rules_events import check_dlk001, check_evt001, check_evt002
 from .rules_protocol import (
@@ -85,6 +88,7 @@ def _project_findings(
     modules: List[SourceModule],
     roots: List[Path],
     qp_protocol: Optional[Path],
+    references: Optional[List[SourceModule]],
 ) -> List[Finding]:
     index = ProjectIndex(modules)
     raw: List[Finding] = []
@@ -95,6 +99,8 @@ def _project_findings(
     protocol_path = qp_protocol or find_qp_protocol_path(roots)
     if protocol_path is not None and protocol_path.exists():
         raw += check_stm001(index, load_qp_protocol(protocol_path))
+    if references is not None:
+        raw += check_dead001(index, referenced_names(modules + references))
     return raw
 
 
@@ -104,7 +110,11 @@ def run_paths(
     fault_registry: Optional[Path] = None,
     qp_protocol: Optional[Path] = None,
     today: str = "",
+    reference_roots: Optional[List[Path]] = None,
 ) -> AnalysisResult:
+    """Analyze ``roots``.  ``reference_roots`` (files or directories) are
+    parsed only as users of the analyzed code; giving them, even as an
+    empty list, turns DED001 on."""
     result = AnalysisResult()
     registry_path = fault_registry or find_fault_registry_path(roots)
     docs: Dict[str, Tuple[str, str]] = {}
@@ -127,7 +137,15 @@ def run_paths(
         modules.append(module)
         by_path[module.display_path] = module
         raw.extend(_module_findings(module, sites))
-    raw.extend(_project_findings(modules, roots, qp_protocol))
+    references = None
+    if reference_roots is not None:
+        references = []
+        for path in iter_python_files(reference_roots):
+            try:
+                references.append(load_module(path))
+            except SyntaxError as exc:
+                result.errors.append(f"cannot parse {path}: {exc}")
+    raw.extend(_project_findings(modules, roots, qp_protocol, references))
     # Waivers last: project-level findings are waivable at their anchor
     # line exactly like lexical ones, and use-tracking stays accurate.
     for finding in raw:
@@ -136,8 +154,9 @@ def run_paths(
             result.waivers_honoured += 1
             continue
         result.findings.append(finding)
+    idle = frozenset({"DED001"}) if references is None else frozenset()
     for module in modules:
-        result.findings.extend(module.waivers.hygiene_findings(today))
+        result.findings.extend(module.waivers.hygiene_findings(today, idle))
     doc_path = design_doc if design_doc is not None else Path("DESIGN.md")
     if docs and doc_path.exists():
         result.findings.extend(check_fault_table(doc_path, docs))

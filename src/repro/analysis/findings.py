@@ -26,7 +26,8 @@ class RuleInfo:
 #: code -> rule description.  Codes are grouped by invariant family:
 #: DET* determinism, RES* resource pairing, FLT*/TEL* registry hygiene,
 #: SIM* simulation purity, DOC* generated-doc drift, WAI* waiver hygiene,
-#: EVT*/DLK*/STM* whole-program concurrency (the ``flow`` pass).
+#: EVT*/DLK*/STM* whole-program concurrency (the ``flow`` pass), DED*
+#: code with no caller.
 RULE_CATALOG: Dict[str, RuleInfo] = {
     info.code: info
     for info in (
@@ -105,6 +106,13 @@ RULE_CATALOG: Dict[str, RuleInfo] = {
             "transition ladder (QP_PROTOCOL in repro/net/qp.py)",
             "follow RESET→INIT→RTR→RTS (connect() walks it); reset()/"
             "to_error() are legal from any state",
+        ),
+        RuleInfo(
+            "DED001",
+            "public def in src/ that nothing in the analyzed or reference "
+            "trees references",
+            "delete it, or waive a deliberate API surface: "
+            "`# repro: allow[DED001] why it stays`",
         ),
         RuleInfo(
             "WAI001",

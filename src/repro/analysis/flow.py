@@ -11,11 +11,9 @@ query:
   generator-ness), plus resolution of call sites back into the table
   (bare names, ``self.method(...)``, ``module.func(...)`` via import
   aliases) — the static call graph;
-* **def-site resolution** for the three value kinds the rules care
+* **def-site resolution** for the two value kinds the rules care
   about — :class:`~repro.sim.engine.Event` (``env.event()`` /
-  ``Event(env)``), :class:`~repro.core.credit.CreditGuard`
-  (``crediter.guard()`` / ``CreditGuard(...)``) and
-  :class:`~repro.net.qp.QueuePair` constructions;
+  ``Event(env)``) and :class:`~repro.net.qp.QueuePair` constructions;
 * per-symbol **usage classification** for event values: *await*
   (``yield ev``), *produce* (``ev.succeed()`` / ``ev.fail()``),
   *defuse*, and *escape* (any other read — passed, stored, returned,
@@ -34,14 +32,12 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .modules import SourceModule
 
-__all__ = ["ProjectIndex", "FunctionInfo", "EventUse", "build_index"]
+__all__ = ["ProjectIndex", "FunctionInfo", "EventUse"]
 
 #: Receiver-attribute names that create an Event-like value.
 _EVENT_FACTORY_ATTRS = frozenset({"event"})
 #: ``from repro.sim import Event`` style constructor names.
 _EVENT_CTOR_NAMES = frozenset({"Event"})
-_GUARD_FACTORY_ATTRS = frozenset({"guard"})
-_GUARD_CTOR_NAMES = frozenset({"CreditGuard"})
 _QP_CTOR_NAMES = frozenset({"QueuePair"})
 
 #: Event-producing / consuming method names.
@@ -181,16 +177,6 @@ class ProjectIndex:
             and isinstance(expr.func, ast.Attribute)
             and expr.func.attr in _EVENT_FACTORY_ATTRS
             and _is_env_receiver(expr.func.value)
-        )
-
-    def is_guard_ctor(self, module: SourceModule, expr: ast.expr) -> bool:
-        """``crediter.guard()`` or ``CreditGuard(...)``."""
-        if self._is_ctor(module, expr, _GUARD_CTOR_NAMES):
-            return True
-        return (
-            isinstance(expr, ast.Call)
-            and isinstance(expr.func, ast.Attribute)
-            and expr.func.attr in _GUARD_FACTORY_ATTRS
         )
 
     # ----------------------------------------------------- call resolution
@@ -369,7 +355,3 @@ def _own_nodes(func: ast.AST) -> List[ast.AST]:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             stack.extend(ast.iter_child_nodes(node))
     return out
-
-
-def build_index(modules: Iterable[SourceModule]) -> ProjectIndex:
-    return ProjectIndex(modules)

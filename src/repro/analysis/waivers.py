@@ -26,7 +26,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from .findings import Finding, is_known_rule, make_finding
 
@@ -132,10 +132,13 @@ class WaiverSet:
                 return True
         return False
 
-    def hygiene_findings(self, today: str = "") -> List[Finding]:
+    def hygiene_findings(
+        self, today: str = "", idle_rules: FrozenSet[str] = frozenset()
+    ) -> List[Finding]:
         """WAI001 (no justification), WAI002 (unused), unknown codes and —
         only when the caller supplies ``today`` (ISO date) — WAI003 for
-        expired or unparseable ``until=`` dates."""
+        expired or unparseable ``until=`` dates.  A waiver naming only
+        ``idle_rules`` (rules this run did not check) is never unused."""
         out: List[Finding] = []
         for waiver in self.waivers:
             unknown = [c for c in waiver.codes if not is_known_rule(c)]
@@ -158,7 +161,7 @@ class WaiverSet:
                         f"waiver for {', '.join(waiver.codes)} has no justification",
                     )
                 )
-            if not waiver.used:
+            if not waiver.used and not set(waiver.codes) <= idle_rules:
                 out.append(
                     make_finding(
                         self.path,

@@ -8,16 +8,20 @@ the hardware differentiates requests by the AXI TID.
 Host-side calls that touch the card (CSR access, invoke) are generators
 running in simulated time; pure CPU-side calls (buffer fill) are plain
 methods.
+
+A local ``invoke`` (``LOCAL_READ``/``LOCAL_WRITE``/``LOCAL_TRANSFER``) is
+a one-op batch on the same completion router ``post_many`` uses: the
+ioctl submits it without a doorbell CSR write, and the cThread waits on
+(or polls) that batch's event.  Work-request ids come from the driver,
+so they depend only on the simulated card's own history.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Generator, Iterable, List, Optional
 
 from ..core.interfaces import (
     CompletionEntry,
-    Descriptor,
     LocalSg,
     Oper,
     RdmaSg,
@@ -26,7 +30,13 @@ from ..core.interfaces import (
 )
 from ..driver.driver import Driver, ProcessContext
 from ..driver.errors import RingFullError
-from ..driver.ringbuf import DEFAULT_RING_SLOTS, MemoryRegion, RingOp, RingState
+from ..driver.ringbuf import (
+    DEFAULT_RING_SLOTS,
+    MemoryRegion,
+    RingOp,
+    RingState,
+    Slice,
+)
 from ..health.errors import DecoupledError, QuarantinedError
 from ..mem.allocator import Allocation, AllocType
 from ..sim.engine import AnyOf, Environment
@@ -38,8 +48,6 @@ CSR_WRITE_NS = 120.0
 CSR_READ_NS = 900.0
 #: Completion-polling interval when writeback is disabled.
 POLL_INTERVAL_NS = 1_000.0
-
-_wr_ids = itertools.count(1)
 
 
 class CThread:
@@ -116,6 +124,7 @@ class CThread:
         yield self.env.timeout(CSR_WRITE_NS)
         self._vfpga.csr_write(index, value)
 
+    # repro: allow[DED001] paper API mirror (Code 1's getCSR); no repo caller
     def get_csr(self, index: int) -> Generator:
         yield self.env.timeout(CSR_READ_NS)
         return self._vfpga.csr_read(index)
@@ -206,12 +215,8 @@ class CThread:
             raise QuarantinedError(self.vfpga_id)
         if region.decoupled:
             raise DecoupledError(self.vfpga_id)
-        if oper is Oper.LOCAL_TRANSFER:
-            return (yield from self._local_transfer(sg.local, timeout_ns))
-        elif oper is Oper.LOCAL_READ:
-            return (yield from self._local_read(sg.local, timeout_ns))
-        elif oper is Oper.LOCAL_WRITE:
-            return (yield from self._local_write(sg.local, timeout_ns))
+        if oper in (Oper.LOCAL_TRANSFER, Oper.LOCAL_READ, Oper.LOCAL_WRITE):
+            return (yield from self._local(oper, sg.local, timeout_ns))
         elif oper is Oper.LOCAL_OFFLOAD:
             yield self.env.process(
                 self.driver.offload(self.pid, sg.local.src_addr, sg.local.src_len)
@@ -235,23 +240,11 @@ class CThread:
 
     # -------------------------------------------------------------- internals
 
-    def _descriptor(self, vaddr: int, length: int, stream: StreamType, dest: int, wr_id: int) -> Descriptor:
-        return Descriptor(
-            vfpga_id=self.vfpga_id,
-            pid=self.pid,
-            vaddr=vaddr,
-            length=length,
-            stream=stream,
-            dest=dest,
-            wr_id=wr_id,
-        )
-
     def _writeback_enabled(self) -> bool:
         return self.driver.shell.config.services.mover.writeback
 
-    def _timeout_entry(self, write: bool, wr_id: int, stream: StreamType) -> CompletionEntry:
-        """Give up on a completion: deregister it and report the error."""
-        self.ctx.forget(write, wr_id)
+    def _timeout_entry(self, wr_id: int, stream: StreamType) -> CompletionEntry:
+        """Give up on a work request and report the error."""
         self.driver.invoke_timeouts += 1
         return CompletionEntry(
             vfpga_id=self.vfpga_id,
@@ -264,82 +257,48 @@ class CThread:
             status="timeout",
         )
 
-    def _await_completion(
-        self,
-        event,
-        write: bool,
-        wr_id: int,
-        stream: StreamType,
-        timeout_ns: Optional[float] = None,
-    ) -> Generator:
-        """Writeback mode: sleep until the driver resolves the completion
-        event.  Polling mode: spin on MMIO until it resolved.  Either way
-        a ``timeout_ns`` deadline yields an error completion, not a hang."""
+    def _local(self, oper: Oper, sg: LocalSg, timeout_ns: Optional[float]) -> Generator:
+        """Submit one local operation as a one-op batch and await it.
+
+        ``LOCAL_TRANSFER`` reads src into the kernel and collects kernel
+        output into dst; it completes on the write half.  Writeback mode
+        sleeps on the batch event, polling mode spins on MMIO until it
+        resolved; either way a ``timeout_ns`` deadline cancels the
+        batch's gates and returns an error completion, not a hang.
+        """
+        read = write = None
+        if oper is not Oper.LOCAL_WRITE:
+            read = Slice(sg.src_addr, sg.src_len, sg.src_stream,
+                         sg.src_dest or self.stream_dest)
+        if oper is not Oper.LOCAL_READ:
+            write = Slice(sg.dst_addr, sg.dst_len, sg.dst_stream,
+                          sg.dst_dest or self.stream_dest)
+        batch = self.driver.post_descriptor(self.pid, self.vfpga_id, read, write)
+        event = batch.event
         if self._writeback_enabled():
             if timeout_ns is None:
-                entry = yield event
-                return entry
+                return (yield event)[0]
             yield AnyOf(self.env, [event, self.env.timeout(timeout_ns)])
-            if event.triggered:
-                return event.value
-            return self._timeout_entry(write, wr_id, stream)
-        deadline = None if timeout_ns is None else self.env.now + timeout_ns
-        while not event.triggered:
-            if deadline is not None and self.env.now >= deadline:
-                return self._timeout_entry(write, wr_id, stream)
-            yield self.env.timeout(POLL_INTERVAL_NS + CSR_READ_NS)
+        else:
+            deadline = None if timeout_ns is None else self.env.now + timeout_ns
+            while not event.triggered and (
+                deadline is None or self.env.now < deadline
+            ):
+                yield self.env.timeout(POLL_INTERVAL_NS + CSR_READ_NS)
+        if not event.triggered:
+            self.ctx.rings.cancel(batch)
+            _write, wr_id = batch.keys[0]
+            return self._timeout_entry(wr_id, (write or read).stream)
         if not event.ok:
             raise event.value  # e.g. RecoveredError from a region reset
-        return event.value
-
-    def _local_transfer(self, sg: LocalSg, timeout_ns: Optional[float] = None) -> Generator:
-        """Read src into the kernel, collect kernel output into dst."""
-        wr_id = next(_wr_ids)
-        done = self.ctx.expect(self.env, write=True, wr_id=wr_id)
-        self.driver.post_descriptor(
-            self._descriptor(sg.src_addr, sg.src_len, sg.src_stream,
-                             sg.src_dest or self.stream_dest, wr_id),
-            write=False,
-        )
-        self.driver.post_descriptor(
-            self._descriptor(sg.dst_addr, sg.dst_len, sg.dst_stream,
-                             sg.dst_dest or self.stream_dest, wr_id),
-            write=True,
-        )
-        return (yield from self._await_completion(
-            done, True, wr_id, sg.dst_stream, timeout_ns
-        ))
-
-    def _local_read(self, sg: LocalSg, timeout_ns: Optional[float] = None) -> Generator:
-        wr_id = next(_wr_ids)
-        done = self.ctx.expect(self.env, write=False, wr_id=wr_id)
-        self.driver.post_descriptor(
-            self._descriptor(sg.src_addr, sg.src_len, sg.src_stream,
-                             sg.src_dest or self.stream_dest, wr_id),
-            write=False,
-        )
-        return (yield from self._await_completion(
-            done, False, wr_id, sg.src_stream, timeout_ns
-        ))
-
-    def _local_write(self, sg: LocalSg, timeout_ns: Optional[float] = None) -> Generator:
-        wr_id = next(_wr_ids)
-        done = self.ctx.expect(self.env, write=True, wr_id=wr_id)
-        self.driver.post_descriptor(
-            self._descriptor(sg.dst_addr, sg.dst_len, sg.dst_stream,
-                             sg.dst_dest or self.stream_dest, wr_id),
-            write=True,
-        )
-        return (yield from self._await_completion(
-            done, True, wr_id, sg.dst_stream, timeout_ns
-        ))
+        return event.value[0]
 
     def _rdma(self, sg: RdmaSg, write: bool, timeout_ns: Optional[float] = None) -> Generator:
         stack = self.driver.shell.dynamic.rdma
         if stack is None:
             raise ValueError("shell has no RDMA service")
         verb = stack.rdma_write if write else stack.rdma_read
-        wr_id = next(_wr_ids)
+        wr_id = next(self.driver.wr_ids)
         proc = self.env.process(
             verb(sg.qpn, sg.local_addr, sg.remote_addr, sg.len, wr_id=wr_id)
         )
@@ -352,7 +311,7 @@ class CThread:
             # propagates out of the simulation as an unhandled failure.
             proc.defuse()
             proc.interrupt("invoke timeout")
-            return self._timeout_entry(write, wr_id, StreamType.NET)
+            return self._timeout_entry(wr_id, StreamType.NET)
         return None
 
     # ----------------------------------------------------------------- RDMA
@@ -371,8 +330,8 @@ class CThread:
     def close(self) -> None:
         """Release the driver context.
 
-        Closing mid-batch is safe: the driver fails every pending
-        completion and in-flight ring batch with a typed
+        Closing mid-batch is safe: the driver fails every in-flight
+        batch (ring doorbell or invoke) with a typed
         :class:`~repro.driver.errors.ProcessClosedError` before tearing
         the mappings down, so concurrent invokes/post_many callers see an
         error instead of parking forever.

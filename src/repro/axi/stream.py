@@ -111,9 +111,6 @@ class AxiStream:
         data = b"".join(parts) if parts else None
         return Flit(length=total, data=data, tid=tid, last=True)
 
-    def try_recv(self) -> Optional[Flit]:
-        return self._fifo.try_get()
-
     def reset(self) -> int:
         """Wipe the FIFO (region hot-reset); returns flits discarded."""
         return self._fifo.clear()

@@ -58,11 +58,6 @@ class PrRegion:
     name: str
     luts: int
 
-    @property
-    def bitstream_bytes(self) -> int:
-        """Size of a partial bitstream covering this region."""
-        return self.luts * CONFIG_BYTES_PER_LUT
-
 
 @dataclass
 class Floorplan:

@@ -325,8 +325,14 @@ class Shell:
 
     # ----------------------------------------------------------- host entry
 
-    def post_descriptor(self, desc: Descriptor, write: bool) -> None:
-        """Entry point used by the driver to queue software-issued work."""
-        vfpga = self.vfpgas[desc.vfpga_id]
-        queue = vfpga.sq_wr if write else vfpga.sq_rd
-        queue.put(desc)
+    def post_descriptors(
+        self, vfpga_id: int, reads: List[Descriptor], writes: List[Descriptor]
+    ) -> None:
+        """Entry point used by the driver to queue software-issued work:
+        each send queue takes its descriptors as one burst (the shell's
+        DMA fetch of a drained doorbell)."""
+        vfpga = self.vfpgas[vfpga_id]
+        if reads:
+            vfpga.sq_rd.put_many(reads)
+        if writes:
+            vfpga.sq_wr.put_many(writes)

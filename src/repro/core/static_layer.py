@@ -47,6 +47,3 @@ class StaticLayer:
 
     def on_user_interrupt(self, handler: Callable[[int], None]) -> None:
         self.xdma.on_interrupt(MsiVector.USER, handler)
-
-    def on_page_fault(self, handler: Callable[[int], None]) -> None:
-        self.xdma.on_interrupt(MsiVector.PAGE_FAULT, handler)

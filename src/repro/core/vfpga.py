@@ -271,12 +271,6 @@ class VFpga:
         """Produce one outbound flit onto stream ``dest``."""
         yield from self._out_streams(stream)[dest].send(flit)
 
-    def pop_completion(self, write: bool = True) -> Generator:
-        """Await the next completion entry."""
-        queue = self.cq_wr if write else self.cq_rd
-        entry = yield queue.get()
-        return entry
-
     # ---------------------------------------------- software-facing helpers
 
     def csr_write(self, index: int, value: int) -> None:

@@ -21,6 +21,7 @@ from .ringbuf import (
     RingOp,
     RingOpcode,
     RingState,
+    Slice,
 )
 
 __all__ = [
@@ -45,4 +46,5 @@ __all__ = [
     "RingOp",
     "RingOpcode",
     "RingState",
+    "Slice",
 ]

@@ -10,6 +10,11 @@ tables, services TLB-miss walks and page faults (allocating frames and
 migrating pages between host DRAM and card HBM over the migration
 channel), demultiplexes completions and interrupts to cThreads, and
 implements the reconfiguration ioctls.
+
+Work enters the card one way: a completion batch on the process's
+:class:`~repro.driver.ringbuf.RingState`, opened either by a command-ring
+doorbell (:meth:`Driver.ring_doorbell`) or by the per-call invoke ioctl
+(:meth:`Driver.post_descriptor`, a one-op batch).
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
-from ..core.bitstream import Bitstream, BitstreamKind
-from ..core.interfaces import CompletionEntry, Descriptor, StreamType
-from ..core.reconfig import IcapController, IcapCrcError, ReconfigError
+from ..core.bitstream import Bitstream
+from ..core.interfaces import CompletionEntry, Descriptor
+from ..core.reconfig import IcapController, IcapCrcError
 from ..core.shell import Shell
 from ..core.vfpga import UserApp
 from ..faults.plan import RING_DOORBELL_DROP
@@ -34,7 +39,6 @@ from ..sim.engine import AnyOf, Environment, Event
 from ..sim.resources import Store
 from .errors import (
     DriverError,
-    MrError,
     ProcessClosedError,
     RingError,
     RingFullError,
@@ -43,11 +47,13 @@ from .errors import (
 from .ringbuf import (
     DEFAULT_RING_SLOTS,
     CommandRing,
+    CompletionBatch,
     MemoryRegion,
     MrTable,
     RingOp,
     RingOpcode,
     RingState,
+    Slice,
 )
 
 __all__ = ["Driver", "ProcessContext", "DriverError"]
@@ -62,10 +68,6 @@ PAGE_FAULT_OVERHEAD_NS = 12_000.0
 #: How long the driver waits for RECONFIG_DONE before falling back to
 #: polling the ICAP status register (lost-interrupt recovery).
 RECONFIG_IRQ_TIMEOUT_NS = 50_000.0
-#: Ring work-request ids live above this base so they can never collide
-#: with the cThread-allocated ids of the legacy ioctl path.
-RING_WR_ID_BASE = 1 << 20
-
 #: Host physical address regions per page size, so frames never collide.
 _HOST_REGION_4K = (0x0000_0000, 8 << 30)
 _HOST_REGION_2M = (8 << 30, 24 << 30)
@@ -80,37 +82,13 @@ class ProcessContext:
     vfpga_id: int
     page_table: PageTable
     valloc: VirtualAllocator
-    completions_rd: Store
-    completions_wr: Store
     interrupts: Store  # eventfd analogue
-    allocations: List[Allocation] = field(default_factory=list)
-    #: Completion events registered by wr_id, so concurrent invokes from
-    #: the same thread never steal each other's completions.
-    pending: Dict[Tuple[bool, int], object] = field(default_factory=dict)
-    #: Registration timestamps of ``pending`` keys; the per-cThread
-    #: watchdog ages these to spot one stuck lane on a busy region.
-    pending_since: Dict[Tuple[bool, int], float] = field(default_factory=dict)
-    #: The one-slot command ring the legacy per-call ioctl rides on
-    #: (every ``post_descriptor`` is a one-descriptor doorbell).
-    ioctl_ring: Optional[CommandRing] = None
-    #: Batched command/completion rings, armed by ``Driver.setup_rings``.
-    rings: Optional[RingState] = None
+    #: Completion router for every batch this process submits; its
+    #: command ring is armed by ``Driver.setup_rings``.
+    rings: RingState
     #: Registered memory regions (the MTT shadow for ring descriptors).
-    mrs: Optional[MrTable] = None
-
-    def expect(self, env: Environment, write: bool, wr_id: int):
-        """Register interest in a completion before posting descriptors."""
-        from ..sim.engine import Event
-
-        event = Event(env)
-        self.pending[(write, wr_id)] = event
-        self.pending_since[(write, wr_id)] = env.now
-        return event
-
-    def forget(self, write: bool, wr_id: int):
-        """Deregister a pending completion (timeout/abort paths)."""
-        self.pending_since.pop((write, wr_id), None)
-        return self.pending.pop((write, wr_id), None)
+    mrs: MrTable
+    allocations: List[Allocation] = field(default_factory=list)
 
 
 class Driver:
@@ -160,7 +138,8 @@ class Driver:
         self.ring_full_stalls = 0
         self.mrs_registered = 0
         self.mrs_deregistered = 0
-        self._ring_wr_ids = itertools.count(RING_WR_ID_BASE)
+        #: Work-request ids of this card, shared by invokes and ring ops.
+        self.wr_ids = itertools.count(1)
         #: AppSchedulers driving this card's regions; they register
         #: themselves so card_report() can harvest their telemetry.
         self.schedulers: List = []
@@ -238,18 +217,8 @@ class Driver:
                 self.completions_delivered.get(entry.vfpga_id, 0) + 1
             )
             ctx = self.processes.get(entry.pid)
-            if ctx is None:
-                continue  # completion for an exited process
-            if ctx.rings is not None and ctx.rings.on_completion(write, entry):
-                # A ring batch consumed it; the batch event is the single
-                # writeback for the whole drained doorbell.
-                continue
-            waiter = ctx.forget(write, entry.wr_id)
-            if waiter is not None:
-                waiter.succeed(entry)
-                continue
-            target = ctx.completions_wr if write else ctx.completions_rd
-            yield target.put(entry)
+            if ctx is not None:  # else: completion for an exited process
+                ctx.rings.on_completion(write, entry)
 
     def _on_reconfig_done(self, value: int) -> None:
         waiters, self._reconfig_done_waiters = self._reconfig_done_waiters, []
@@ -283,10 +252,8 @@ class Driver:
             vfpga_id=vfpga_id,
             page_table=PageTable(pid, page),
             valloc=VirtualAllocator(),
-            completions_rd=Store(self.env),
-            completions_wr=Store(self.env),
             interrupts=Store(self.env),
-            ioctl_ring=CommandRing(slots=1),
+            rings=RingState(self.env),
             mrs=MrTable(pid),
         )
         self.processes[pid] = ctx
@@ -295,8 +262,8 @@ class Driver:
     def close(self, pid: int, reason: str = "closed") -> None:
         """Tear down a process context.
 
-        Closing mid-flight must not strand waiters: every pending
-        completion and every in-flight ring batch fails with a typed
+        Closing mid-flight must not strand waiters: every in-flight
+        batch (ring doorbell or invoke) fails with a typed
         :class:`ProcessClosedError` before the pages go away, so a
         cThread closed mid-batch flushes instead of parking forever.
         Registered MRs are dropped (unpinning their TLB entries) and all
@@ -305,24 +272,16 @@ class Driver:
         ctx = self.processes.pop(pid, None)
         if ctx is None:
             raise DriverError(f"pid {pid} not registered")
-        exc = ProcessClosedError(pid, reason)
-        for event in ctx.pending.values():
-            if not event.triggered:
-                event.defuse().fail(exc)
-        ctx.pending.clear()
-        ctx.pending_since.clear()
-        if ctx.rings is not None:
-            ctx.rings.fail_batches(exc)
+        ctx.rings.fail_batches(ProcessClosedError(pid, reason))
         mmu = self.shell.dynamic.mmus.get(ctx.vfpga_id)
-        if ctx.mrs is not None:
-            page = ctx.page_table.page_size
-            for mr in sorted(ctx.mrs, key=lambda m: m.key):
-                if mmu is not None:
-                    start = mr.vaddr - (mr.vaddr % page)
-                    while start < mr.end:
-                        mmu.unpin(start)
-                        start += page
-                self.mrs_deregistered += 1
+        page = ctx.page_table.page_size
+        for mr in sorted(ctx.mrs, key=lambda m: m.key):
+            if mmu is not None:
+                start = mr.vaddr - (mr.vaddr % page)
+                while start < mr.end:
+                    mmu.unpin(start)
+                    start += page
+            self.mrs_deregistered += 1
         for alloc in ctx.allocations:
             self._free_pages(ctx, alloc)
 
@@ -689,36 +648,41 @@ class Driver:
 
     # --------------------------------------------------------------- ioctls
 
-    def post_descriptor(self, desc: Descriptor, write: bool) -> None:
-        """Legacy per-call ioctl: a one-descriptor doorbell.
+    def post_descriptor(
+        self,
+        pid: int,
+        vfpga_id: int,
+        read: Optional[Slice] = None,
+        write: Optional[Slice] = None,
+    ) -> CompletionBatch:
+        """The per-call invoke ioctl: submit one work request as a
+        one-op batch and return it.
+
+        ``read`` moves memory into the vFPGA, ``write`` moves kernel
+        output back; a ``TRANSFER`` names both and completes on its
+        write half.  The batch is the same one a doorbell opens, minus
+        the doorbell CSR write and its ``ring.doorbell_drop`` fault: the
+        kernel hands the work to the shell inside the ioctl.
 
         Enforces process/vFPGA isolation: a pid may only drive the vFPGA
         it opened, so one tenant cannot queue work (or read completions)
-        on another tenant's region.  The descriptor rides the process's
-        one-slot :class:`~repro.driver.ringbuf.CommandRing`: every call
-        posts one slot and immediately drains it, so the per-call path
-        shares the ring submit machinery (and its telemetry) while
-        keeping its synchronous semantics.
+        on another tenant's region.  An empty half is rejected before
+        any descriptor reaches the shell: the packetizer emits no
+        packets (so no completion) for it, and the caller would hang.
         """
-        ctx = self._ctx(desc.pid)
-        if desc.length <= 0:
-            # The packetizer emits no packets (and so no last=True, and
-            # so no completion) for an empty descriptor; reject it here
-            # instead of letting the caller hang on a completion that
-            # can never arrive.
-            raise ZeroLengthDescriptorError(
-                f"pid {desc.pid}: descriptor wr_id={desc.wr_id} has "
-                f"length {desc.length}; nothing to transfer"
-            )
-        self._check_submit(ctx, desc.vfpga_id)
-        ctx.ioctl_ring.post((desc, write))
+        ctx = self._ctx(pid)
+        for half in (read, write):
+            if half is not None and half.length <= 0:
+                raise ZeroLengthDescriptorError(
+                    f"pid {pid}: invoke has nothing to transfer "
+                    f"(length={half.length})"
+                )
+        self._check_submit(ctx, vfpga_id)
         self.ring_doorbells += 1
-        for queued, queued_write in ctx.ioctl_ring.drain():
-            self.ring_descriptors += 1
-            self.shell.post_descriptor(queued, queued_write)
+        return self._submit(ctx, [(read, write)])
 
     def _check_submit(self, ctx: ProcessContext, vfpga_id: int) -> None:
-        """Shared isolation/health gate for both submit paths."""
+        """Isolation/health gate of both submit entry points."""
         if ctx.vfpga_id != vfpga_id:
             raise DriverError(
                 f"pid {ctx.pid} is bound to vFPGA {ctx.vfpga_id}, "
@@ -739,20 +703,18 @@ class Driver:
     def setup_rings(self, pid: int, slots: int = DEFAULT_RING_SLOTS) -> RingState:
         """Arm the batched command/completion rings for a process.
 
-        Maps the cmdReqQ/cmdRespQ pages; afterwards :meth:`ring_post` /
+        Maps the cmdReqQ page; afterwards :meth:`ring_post` /
         :meth:`ring_doorbell` are live.  Re-arming while slots are posted
         or batches are in flight is refused — the rings are the ABI, not
         a resize-anytime buffer.
         """
-        ctx = self._ctx(pid)
-        if ctx.rings is not None and (
-            ctx.rings.cmd.occupancy or ctx.rings.outstanding
-        ):
+        rings = self._ctx(pid).rings
+        if rings.cmd is not None and (rings.cmd.occupancy or rings.outstanding):
             raise RingError(
                 f"pid {pid}: cannot re-arm rings with work in flight"
             )
-        ctx.rings = RingState(self.env, slots)
-        return ctx.rings
+        rings.cmd = CommandRing(slots)
+        return rings
 
     def register_mr(
         self, pid: int, vaddr: int, length: int, writable: bool = True
@@ -858,12 +820,12 @@ class Driver:
         yield from self._pin_mr_pages(ctx, mr)
         return mr
 
-    def _rings(self, ctx: ProcessContext) -> RingState:
-        if ctx.rings is None:
+    def _cmd_ring(self, ctx: ProcessContext) -> CommandRing:
+        if ctx.rings.cmd is None:
             raise RingError(
                 f"pid {ctx.pid}: rings not armed; call setup_rings() first"
             )
-        return ctx.rings
+        return ctx.rings.cmd
 
     def ring_post(self, pid: int, op: RingOp) -> int:
         """Fill the next cmdReqQ slot (a host-memory store — untimed).
@@ -876,7 +838,7 @@ class Driver:
         ``ring.full_stalls``); the doorbell frees the slots.
         """
         ctx = self._ctx(pid)
-        rings = self._rings(ctx)
+        cmd = self._cmd_ring(ctx)
         length = op.length
         dst_length = op.dst_length if op.dst_length is not None else op.length
         if length <= 0 or (op.opcode is RingOpcode.TRANSFER and dst_length <= 0):
@@ -884,17 +846,25 @@ class Driver:
                 f"pid {pid}: ring {op.opcode.value} op has nothing to "
                 f"transfer (length={length}, dst_length={dst_length})"
             )
-        src_vaddr = ctx.mrs.resolve(
-            op.mr_key, op.offset, length, write=op.opcode is RingOpcode.WRITE
+        src = Slice(
+            ctx.mrs.resolve(
+                op.mr_key, op.offset, length, write=op.opcode is RingOpcode.WRITE
+            ),
+            length, op.stream, op.dest, op.mr_key,
         )
-        dst_vaddr = None
-        if op.opcode is RingOpcode.TRANSFER:
+        if op.opcode is RingOpcode.READ:
+            halves = (src, None)
+        elif op.opcode is RingOpcode.WRITE:
+            halves = (None, src)
+        else:  # TRANSFER: read + write through the kernel, one wr_id
             dst_key = op.dst_mr_key if op.dst_mr_key is not None else op.mr_key
-            dst_vaddr = ctx.mrs.resolve(
-                dst_key, op.dst_offset, dst_length, write=True
+            dst = Slice(
+                ctx.mrs.resolve(dst_key, op.dst_offset, dst_length, write=True),
+                dst_length, op.dst_stream, op.dst_dest, dst_key,
             )
+            halves = (src, dst)
         try:
-            return rings.cmd.post((op, src_vaddr, dst_vaddr))
+            return cmd.post((op, *halves))
         except RingFullError:
             self.ring_full_stalls += 1
             raise
@@ -912,88 +882,66 @@ class Driver:
         software rings again.
         """
         ctx = self._ctx(pid)
-        rings = self._rings(ctx)
+        cmd = self._cmd_ring(ctx)
         self._check_submit(ctx, ctx.vfpga_id)
         self.ring_doorbells += 1
         injector = self.shell.static.xdma.faults
         if injector is not None and injector.fires(RING_DOORBELL_DROP, pid):
             self.ring_doorbells_lost += 1
             return None
-        batch = rings.open_batch()
-        slots = rings.cmd.drain()
-        if not slots:
-            batch.event.succeed([])
-            return batch.event
-        for op, src_vaddr, dst_vaddr in slots:
-            wr_id = next(self._ring_wr_ids)
-            if op.opcode is RingOpcode.READ:
-                rings.gate(batch, (False, wr_id))
-                self.shell.post_descriptor(
-                    self._ring_descriptor(
-                        ctx, src_vaddr, op.length, op.stream, op.dest,
-                        wr_id, op.mr_key,
-                    ),
-                    write=False,
-                )
-            elif op.opcode is RingOpcode.WRITE:
-                rings.gate(batch, (True, wr_id))
-                self.shell.post_descriptor(
-                    self._ring_descriptor(
-                        ctx, src_vaddr, op.length, op.stream, op.dest,
-                        wr_id, op.mr_key,
-                    ),
-                    write=True,
-                )
-            else:  # TRANSFER: read + write through the kernel, one wr_id
-                dst_length = (
-                    op.dst_length if op.dst_length is not None else op.length
-                )
-                dst_key = op.dst_mr_key if op.dst_mr_key is not None else op.mr_key
-                rings.gate(batch, (True, wr_id))
-                rings.absorb(batch, (False, wr_id))
-                self.shell.post_descriptor(
-                    self._ring_descriptor(
-                        ctx, src_vaddr, op.length, op.stream, op.dest,
-                        wr_id, op.mr_key,
-                    ),
-                    write=False,
-                )
-                self.shell.post_descriptor(
-                    self._ring_descriptor(
-                        ctx, dst_vaddr, dst_length, op.dst_stream,
-                        op.dst_dest, wr_id, dst_key,
-                    ),
-                    write=True,
-                )
-        self.ring_descriptors += len(slots)
-        self.ring_batches += 1
-        return batch.event
+        work = [(read, write) for _op, read, write in cmd.drain()]
+        return self._submit(ctx, work).event
 
-    def _ring_descriptor(
+    def _submit(
         self,
         ctx: ProcessContext,
-        vaddr: int,
-        length: int,
-        stream: StreamType,
-        dest: int,
-        wr_id: int,
-        mr_key: int,
-    ) -> Descriptor:
+        work: List[Tuple[Optional[Slice], Optional[Slice]]],
+    ) -> CompletionBatch:
+        """Open one completion batch for ``work`` and hand it to the shell.
+
+        Each ``(read, write)`` work request gets the next wr_id and gates
+        the batch on its write completion, or on its read completion when
+        it has no write half; a ``TRANSFER``'s read completion is
+        absorbed.  The descriptors reach each send queue as one burst.
+        """
+        batch = ctx.rings.open_batch()
+        if not work:
+            batch.event.succeed([])
+            return batch
+        reads: List[Descriptor] = []
+        writes: List[Descriptor] = []
+        for read, write in work:
+            wr_id = next(self.wr_ids)
+            if read is not None:
+                reads.append(self._descriptor(ctx, read, wr_id))
+            if write is not None:
+                writes.append(self._descriptor(ctx, write, wr_id))
+            ctx.rings.gate(batch, (write is not None, wr_id))
+            if read is not None and write is not None:
+                ctx.rings.absorb(batch, (False, wr_id))
+        self.shell.post_descriptors(ctx.vfpga_id, reads, writes)
+        self.ring_descriptors += len(work)
+        self.ring_batches += 1
+        return batch
+
+    @staticmethod
+    def _descriptor(ctx: ProcessContext, half: Slice, wr_id: int) -> Descriptor:
         return Descriptor(
             vfpga_id=ctx.vfpga_id,
             pid=ctx.pid,
-            vaddr=vaddr,
-            length=length,
-            stream=stream,
-            dest=dest,
+            vaddr=half.vaddr,
+            length=half.length,
+            stream=half.stream,
+            dest=half.dest,
             wr_id=wr_id,
-            mr_key=mr_key,
+            mr_key=half.mr_key,
         )
 
     # ------------------------------------------------------ health / recovery
 
     def fail_pending(self, vfpga_id: int, exc: Exception) -> int:
-        """Fail every pending completion event bound to a region.
+        """Fail every in-flight batch bound to a region; returns the
+        number of work requests that will never complete.
 
         Part of the decouple step of recovery: software waiting on work
         the reset wiped gets a typed error instead of hanging forever.
@@ -1002,17 +950,7 @@ class Driver:
         """
         failed = 0
         for ctx in self.processes.values():
-            if ctx.vfpga_id != vfpga_id:
-                continue
-            for event in ctx.pending.values():
-                if not event.triggered:
-                    event.defuse().fail(exc)
-                    failed += 1
-            ctx.pending.clear()
-            ctx.pending_since.clear()
-            if ctx.rings is not None:
-                # Ring batches gate on completions the reset wiped too;
-                # fail each in-flight batch once (its waiters all see exc).
+            if ctx.vfpga_id == vfpga_id:
                 failed += ctx.rings.fail_batches(exc)
         return failed
 

@@ -4,9 +4,16 @@ Coyote v2's shell is driven the way modern NICs are: software writes
 work descriptors into fixed-slot rings living in host memory, then rings
 a doorbell CSR; the shell DMA-fetches every new slot in one burst and
 writes completions back in batches (blue-rdma's ``Ringbuf`` /
-``WorkQueueRingbuf`` layering is the reference implementation).  The
-per-call ioctl of :meth:`repro.driver.Driver.post_descriptor` survives on
-top of a one-slot ring, so the ring is the *only* submit path.
+``WorkQueueRingbuf`` layering is the reference implementation).
+
+There is one submit/completion path.  Every process gets a
+:class:`RingState` when it opens the driver: its completion router.
+A doorbell drains the cmdReqQ (armed by ``Driver.setup_rings``) into
+one :class:`CompletionBatch`; a per-call ``CThread.invoke`` is a
+one-op batch on the same router, submitted by the ioctl without a
+CSR write.  Either way the drained work reaches each vFPGA send queue
+as one burst, and the batch event is the only completion software
+waits on; a completion no batch is gated on is dropped.
 
 The model here keeps the ring mechanics honest but foreshortens one
 thing: slots are recycled when the doorbell drains them, not when their
@@ -30,7 +37,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.interfaces import StreamType
 from ..sim.engine import Environment, Event
@@ -48,6 +55,7 @@ __all__ = [
     "DEFAULT_RING_SLOTS",
     "RingOpcode",
     "RingOp",
+    "Slice",
     "MemoryRegion",
     "MrTable",
     "CommandRing",
@@ -88,6 +96,18 @@ class RingOp:
     dst_length: Optional[int] = None
     dst_stream: StreamType = StreamType.HOST
     dst_dest: int = 0
+
+
+class Slice(NamedTuple):
+    """One half of a work request, resolved to what the shell sees: the
+    memory slice a send-queue descriptor moves and the stream it uses."""
+
+    vaddr: int
+    length: int
+    stream: StreamType = StreamType.HOST
+    dest: int = 0
+    #: Memory-region key the vaddr was resolved from (ring ops only).
+    mr_key: Optional[int] = None
 
 
 @dataclass
@@ -260,47 +280,46 @@ class CommandRing:
 
 
 class CompletionBatch:
-    """The cmdRespQ writeback for one drained doorbell.
+    """The cmdRespQ writeback for one drained doorbell (or one invoke).
 
     Each work request the drain produced registers a *gate* key; the
     batch's event fires exactly once — when the last gate completes —
     with the list of :class:`~repro.core.interfaces.CompletionEntry`
     values in gate-registration order.  That single event is the "one
-    interrupt or poll per drain" of the ring ABI.  ``TRANSFER`` slots
-    also register an *absorb* key for their read half: that completion
-    is consumed silently instead of leaking into the legacy per-process
-    completion stores.
+    interrupt or poll per drain" of the ring ABI.  ``TRANSFER`` work
+    also registers an *absorb* key for its read half: that completion
+    is consumed silently.
     """
 
-    def __init__(self, event: Event):
+    def __init__(self, event: Event, opened_ns: float):
         self.event = event
-        self._order: List[Tuple[bool, int]] = []
+        #: When the batch was submitted (the per-cThread watchdog ages it).
+        self.opened_ns = opened_ns
+        #: Gate keys ``(write, wr_id)`` in registration order.
+        self.keys: List[Tuple[bool, int]] = []
+        #: Absorb keys (``TRANSFER`` read halves).
+        self.absorbs: List[Tuple[bool, int]] = []
         self._entries: Dict[Tuple[bool, int], object] = {}
-        self._expected = 0
-
-    def expect(self, key: Tuple[bool, int]) -> None:
-        self._order.append(key)
-        self._expected += 1
 
     def collect(self, key: Tuple[bool, int], entry) -> bool:
         """Record one gate completion; True once the batch is complete."""
         self._entries[key] = entry
-        return len(self._entries) >= self._expected
+        return len(self._entries) >= len(self.keys)
 
     def results(self) -> List:
-        return [self._entries[key] for key in self._order]
-
-    @property
-    def outstanding(self) -> int:
-        return self._expected - len(self._entries)
+        return [self._entries[key] for key in self.keys]
 
 
 class RingState:
-    """One process's command ring plus its in-flight completion batches."""
+    """One process's completion router plus, once armed, its cmdReqQ.
 
-    def __init__(self, env: Environment, slots: int = DEFAULT_RING_SLOTS):
+    The driver creates it at ``open()``; ``cmd`` stays ``None`` until
+    ``Driver.setup_rings`` arms the command ring.
+    """
+
+    def __init__(self, env: Environment):
         self.env = env
-        self.cmd = CommandRing(slots)
+        self.cmd: Optional[CommandRing] = None
         self._gates: Dict[Tuple[bool, int], CompletionBatch] = {}
         self._absorbed: Dict[Tuple[bool, int], CompletionBatch] = {}
         self.batches_opened = 0
@@ -308,37 +327,49 @@ class RingState:
 
     def open_batch(self) -> CompletionBatch:
         self.batches_opened += 1
-        return CompletionBatch(Event(self.env))
+        return CompletionBatch(Event(self.env), self.env.now)
 
     def gate(self, batch: CompletionBatch, key: Tuple[bool, int]) -> None:
-        batch.expect(key)
+        batch.keys.append(key)
         self._gates[key] = batch
 
     def absorb(self, batch: CompletionBatch, key: Tuple[bool, int]) -> None:
+        batch.absorbs.append(key)
         self._absorbed[key] = batch
 
     @property
     def outstanding(self) -> int:
+        """Work requests submitted whose completion has not arrived."""
         return len(self._gates)
 
-    def on_completion(self, write: bool, entry) -> bool:
-        """Route one hardware completion; True if the ring consumed it."""
+    def oldest_open_ns(self) -> Optional[float]:
+        """Submit time of the oldest batch still waiting on a gate."""
+        return min((batch.opened_ns for batch in self._gates.values()), default=None)
+
+    def on_completion(self, write: bool, entry) -> None:
+        """Route one hardware completion to the batch gated on it; a
+        completion nothing is gated on (a cancelled invoke, a request
+        the hardware issued itself) is dropped."""
         key = (write, entry.wr_id)
         if self._absorbed.pop(key, None) is not None:
-            return True
+            return
         batch = self._gates.pop(key, None)
-        if batch is None:
-            return False
-        if batch.collect(key, entry):
+        if batch is not None and batch.collect(key, entry):
             self.batches_completed += 1
             batch.event.succeed(batch.results())
-        return True
+
+    def cancel(self, batch: CompletionBatch) -> None:
+        """Forget a batch its waiter gave up on (an invoke timeout): its
+        late completions then match nothing and are dropped."""
+        for key in batch.keys:
+            self._gates.pop(key, None)
+        for key in batch.absorbs:
+            self._absorbed.pop(key, None)
 
     def fail_batches(self, exc: Exception) -> int:
         """Fail every in-flight batch (region recovery / teardown).
 
-        Returns the number of *work requests* that will never complete,
-        mirroring :meth:`repro.driver.Driver.fail_pending` accounting.
+        Returns the number of *work requests* that will never complete.
         """
         failed = len(self._gates)
         seen: List[CompletionBatch] = []

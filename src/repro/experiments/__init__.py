@@ -9,7 +9,7 @@ from .ablations import (
     run_ablation_writeback,
 )
 from .appbench import hll_throughput, run_fig11, run_fig12
-from .common import ExperimentResult, format_series, format_table
+from .common import ExperimentResult, format_table
 from .macrobench import (
     cbc_throughput,
     multitenant_ecb_rates,
@@ -23,7 +23,6 @@ from .tables import TABLE3_SCENARIOS, run_table1, run_table2, run_table3
 __all__ = [
     "ExperimentResult",
     "format_table",
-    "format_series",
     "run_table1",
     "run_table2",
     "run_table3",

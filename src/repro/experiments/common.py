@@ -9,9 +9,9 @@ pytest-benchmark; ``EXPERIMENTS.md`` records their output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
-__all__ = ["ExperimentResult", "format_table", "format_series"]
+__all__ = ["ExperimentResult", "format_table"]
 
 
 @dataclass
@@ -60,8 +60,3 @@ def format_table(rows: Sequence[Dict[str, Any]]) -> str:
     for row in cells:
         out.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(out)
-
-
-def format_series(xs: Iterable[Any], ys: Iterable[Any], xlabel: str, ylabel: str) -> str:
-    rows = [{xlabel: x, ylabel: y} for x, y in zip(xs, ys)]
-    return format_table(rows)

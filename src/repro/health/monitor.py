@@ -120,7 +120,7 @@ class HealthMonitor:
             # driver's own IRQ-timeout fallback bounds it.
             return False
         for ctx in driver.processes.values():
-            if ctx.vfpga_id == vfpga_id and ctx.pending:
+            if ctx.vfpga_id == vfpga_id and ctx.rings.outstanding:
                 return True
         for scheduler in driver.schedulers:
             if scheduler.vfpga_id == vfpga_id and scheduler.has_work:
@@ -128,16 +128,15 @@ class HealthMonitor:
         return False
 
     def _stuck_pids(self, vfpga_id: int, now: float) -> Tuple[int, ...]:
-        """Per-cThread watchdog: pids with a completion pending longer
-        than ``cthread_deadline_ns``."""
+        """Per-cThread watchdog: pids with a batch (invoke or doorbell)
+        in flight longer than ``cthread_deadline_ns``."""
         stuck: List[int] = []
         for pid, ctx in self.driver.processes.items():
             if ctx.vfpga_id != vfpga_id:
                 continue
-            for since in ctx.pending_since.values():
-                if now - since >= self.config.cthread_deadline_ns:
-                    stuck.append(pid)
-                    break
+            since = ctx.rings.oldest_open_ns()
+            if since is not None and now - since >= self.config.cthread_deadline_ns:
+                stuck.append(pid)
         return tuple(sorted(stuck))
 
     # ----------------------------------------------------------- heartbeat
@@ -150,8 +149,8 @@ class HealthMonitor:
     def _heartbeat(self) -> Generator:
         while True:
             if not self._any_busy():
-                # Park: the simulation can drain; post_descriptor/submit
-                # (or a finished recovery) kicks us awake.
+                # Park: the simulation can drain; an invoke, a doorbell or
+                # a scheduler submit (or a finished recovery) kicks us awake.
                 self._parked = Event(self.env)
                 yield self._parked
                 self._parked = None

@@ -48,7 +48,7 @@ class HealthConfig:
     poll_interval_ns: float = 25_000.0
     #: Region watchdog: busy with no counter movement this long => HUNG.
     deadline_ns: float = 200_000.0
-    #: Per-cThread watchdog: one pending completion older than this =>
+    #: Per-cThread watchdog: one in-flight batch older than this =>
     #: HUNG even if the region's aggregate counters still move (another
     #: tenant's streams may flow while one lane is wedged).
     cthread_deadline_ns: float = 5_000_000.0

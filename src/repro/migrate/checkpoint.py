@@ -5,8 +5,9 @@ behalf of one cThread, captured while its region is quiesced: CSR words,
 credit-counter occupancy (an audit field: the migrator's drain window
 lets credits reach zero before capture), the
 command ring's head/tail CSRs plus every undrained descriptor, the MTT
-(MR table), the in-flight WR ids that were flushed with typed errors,
-the virtual allocations, and a byte image of every mapped page.
+(MR table), the virtual allocations, and a byte image of every mapped
+page.  Version 2 dropped version 1's ``inflight_wrs`` audit field, which
+no restore ever read.
 
 The wire encoding is deliberately boring: a deterministic JSON body
 (sorted keys, no whitespace) behind a fixed header of magic, a 2-byte
@@ -45,7 +46,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"VFCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Posted-MMIO cost of replaying one CSR word during restore.
 RESTORE_CSR_WRITE_NS = 120.0
@@ -107,10 +108,6 @@ class VfpgaCheckpoint:
     mrs: List[Dict] = field(default_factory=list)
     #: Page vaddrs pinned in the TLB on behalf of the MRs (audit field).
     pinned_pages: List[int] = field(default_factory=list)
-    #: ``[write, wr_id]`` keys that were in flight at quiesce; these were
-    #: flushed with typed errors on the source and are recorded so the
-    #: destination report can show what the pause interrupted.
-    inflight_wrs: List[List[int]] = field(default_factory=list)
     #: Virtual allocations, vaddr-sorted.
     allocations: List[Dict] = field(default_factory=list)
     #: Page image, ``{str(page_vaddr): hex bytes}``.
@@ -134,7 +131,6 @@ class VfpgaCheckpoint:
             "ring_ops": self.ring_ops,
             "mrs": self.mrs,
             "pinned_pages": sorted(self.pinned_pages),
-            "inflight_wrs": sorted(self.inflight_wrs),
             "allocations": self.allocations,
             "memory": self.memory,
         }
@@ -174,7 +170,6 @@ class VfpgaCheckpoint:
             ring_ops=payload["ring_ops"],
             mrs=payload["mrs"],
             pinned_pages=payload["pinned_pages"],
-            inflight_wrs=payload["inflight_wrs"],
             allocations=payload["allocations"],
             memory=payload["memory"],
             version=version,
@@ -240,8 +235,7 @@ def snapshot_tenant(
     """Capture a quiesced tenant into a :class:`VfpgaCheckpoint`.
 
     Pure bookkeeping reads — call it with the region's movers quiesced
-    and the drain window elapsed, *before* ``fail_pending`` flushes the
-    in-flight WR keys this records.  ``memory`` lets the caller supply a
+    and the drain window elapsed.  ``memory`` lets the caller supply a
     pre-computed :func:`memory_image` (the migrator's dirty-page pass).
     """
     ctx = driver._ctx(pid)
@@ -262,7 +256,6 @@ def snapshot_tenant(
         kernel=kernel,
         csrs=vfpga.ctrl.snapshot(),
         credits=credits,
-        inflight_wrs=sorted([int(write), wr_id] for write, wr_id in ctx.pending),
         memory=memory if memory is not None else memory_image(driver, pid),
     )
 
@@ -276,25 +269,24 @@ def snapshot_tenant(
         )
 
     pinned = set()
-    if ctx.mrs is not None:
-        for mr in sorted(ctx.mrs, key=lambda m: m.key):
-            ckpt.mrs.append(
-                {
-                    "key": mr.key,
-                    "vaddr": mr.vaddr,
-                    "length": mr.length,
-                    "writable": mr.writable,
-                    "num_pages": mr.num_pages,
-                }
-            )
-            start = mr.vaddr - (mr.vaddr % page)
-            while start < mr.end:
-                pinned.add(start)
-                start += page
+    for mr in sorted(ctx.mrs, key=lambda m: m.key):
+        ckpt.mrs.append(
+            {
+                "key": mr.key,
+                "vaddr": mr.vaddr,
+                "length": mr.length,
+                "writable": mr.writable,
+                "num_pages": mr.num_pages,
+            }
+        )
+        start = mr.vaddr - (mr.vaddr % page)
+        while start < mr.end:
+            pinned.add(start)
+            start += page
     ckpt.pinned_pages = sorted(pinned)
 
-    if ctx.rings is not None:
-        ring = ctx.rings.cmd
+    ring = ctx.rings.cmd
+    if ring is not None:
         ckpt.ring_slots = ring.slots
         ckpt.ring_head = ring.head
         ckpt.ring_tail = ring.tail

@@ -311,13 +311,6 @@ class HlsModel:
             self.ip = self._make_ip()
         return self.ip
 
-    @property
-    def samples_per_second_peak(self) -> float:
-        """Pipeline-limited inference rate of the bare IP."""
-        ip = self.build()
-        period = self.config.clock_period_ns
-        return 1e9 / (ip.initiation_interval_cycles * period)
-
 
 def convert_model(
     model: ModelSpec,

@@ -86,10 +86,6 @@ class Cmac:
 
     # ------------------------------------------------------ PFC honoring
 
-    @property
-    def paused(self) -> bool:
-        return self.env.now < self._paused_until
-
     def pause(self, duration_ns: float = PAUSE_QUANTA_NS) -> None:
         """Honor a PFC XOFF: hold the transmitter for ``duration_ns``
         (refreshes extend the hold; the timer expiring resumes on its own)."""

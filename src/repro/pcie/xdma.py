@@ -81,7 +81,6 @@ class Xdma:
         #: Per-channel-group byte telemetry (the host streaming channel is
         #: already counted by the link's h2c/c2h totals).
         self.migration_bytes = 0
-        self.bitstream_bytes = 0
 
     # -- host streaming + migration channels --------------------------------
 
@@ -104,11 +103,6 @@ class Xdma:
         self.migration_bytes += nbytes
 
     # -- utility channel -----------------------------------------------------
-
-    def download_bitstream(self, nbytes: int) -> Generator:
-        """Stream a partial bitstream from host memory (feeds the ICAP)."""
-        yield from self.link.h2c(nbytes)
-        self.bitstream_bytes += nbytes
 
     def writeback(self, name: str) -> Generator:
         """Update a host-mapped completion counter (avoids PCIe polling)."""

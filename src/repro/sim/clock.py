@@ -26,9 +26,6 @@ class Clock:
     def cycles_to_ns(self, cycles: float) -> float:
         return cycles * self.period_ns
 
-    def ns_to_cycles(self, ns: float) -> float:
-        return ns / self.period_ns
-
     def bytes_per_ns(self, bytes_per_cycle: float) -> float:
         """Bandwidth of a bus moving ``bytes_per_cycle`` each cycle.
 

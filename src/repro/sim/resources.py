@@ -7,7 +7,7 @@ queue slots, memory-channel grants, credit pools.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque, Iterable, Optional
 
 from .engine import Environment, Event, SimulationError
 
@@ -110,6 +110,24 @@ class Store:
             event.succeed()
         else:
             self._putters.append((event, item))
+        return event
+
+    def put_many(self, items: Iterable[Any]) -> Event:
+        """Burst put into an unbounded store, with one event for the lot.
+
+        Items go to waiting getters first (oldest getter first, in item
+        order); the rest are queued.
+        """
+        if self.capacity != float("inf"):
+            raise SimulationError("put_many needs an unbounded store")
+        for item in items:
+            getter = self._next_getter()
+            if getter is None:
+                self.items.append(item)
+            else:
+                getter.succeed(item)
+        event = Event(self.env)
+        event.succeed()
         return event
 
     def get(self) -> Event:

@@ -6,7 +6,6 @@ from .netlist import (
     Module,
     NetlistError,
     get_module,
-    module_for_app,
     modules_for_services,
     total_resources,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "MODULE_LIBRARY",
     "NetlistError",
     "get_module",
-    "module_for_app",
     "modules_for_services",
     "total_resources",
     "ResourceVector",

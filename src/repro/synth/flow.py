@@ -79,10 +79,6 @@ class BuildResult:
     resources: ResourceVector
     checkpoint: Optional[LockedShellCheckpoint] = None
 
-    @property
-    def hours(self) -> float:
-        return self.seconds / 3600.0
-
 
 class BuildFlow:
     """The nested build flows for one device."""

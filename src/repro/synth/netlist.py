@@ -15,7 +15,7 @@ from ..core.dynamic_layer import ServiceConfig
 from ..mem.tlb import PAGE_1G, PAGE_2M, PAGE_4K
 from .resources import ResourceVector
 
-__all__ = ["Module", "MODULE_LIBRARY", "modules_for_services", "module_for_app", "NetlistError"]
+__all__ = ["Module", "MODULE_LIBRARY", "modules_for_services", "NetlistError"]
 
 
 class NetlistError(KeyError):
@@ -101,11 +101,6 @@ def modules_for_services(services: ServiceConfig) -> List[Module]:
     if services.en_sniffer:
         names.append("sniffer")
     return [get_module(name) for name in names]
-
-
-def module_for_app(app_name: str) -> Module:
-    """Look up an application kernel's netlist by its ``UserApp.name``."""
-    return get_module(app_name)
 
 
 def total_resources(modules: Iterable[Module]) -> ResourceVector:

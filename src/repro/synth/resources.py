@@ -52,10 +52,6 @@ class ResourceVector:
             "dsps": self.dsps / device.dsps,
         }
 
-    @property
-    def is_empty(self) -> bool:
-        return not any((self.luts, self.ffs, self.brams, self.urams, self.dsps))
-
 
 def utilization_report(vector: ResourceVector, device: Device) -> str:
     """Human-readable utilisation table (one line per resource kind)."""

@@ -111,10 +111,6 @@ class SpanRecorder:
             )
         return span
 
-    @property
-    def open_spans(self) -> List[Span]:
-        return list(self._open.values())
-
     def by_component(self) -> Dict[str, Dict[str, float]]:
         """Per-component sim-time attribution over all finished spans."""
         out: Dict[str, Dict[str, float]] = {}

@@ -459,11 +459,14 @@ def test_unparsable_file_is_an_error_not_a_crash(tmp_path):
 
 
 def test_real_tree_is_clean():
-    """The burn-down gate: the repo's own sources carry zero findings."""
+    """The burn-down gate: the repo's own sources carry zero findings,
+    dead public defs (DED001, with examples and perfbench as callers)
+    included."""
     result = run_paths(
         [REPO / "src", REPO / "tests", REPO / "benchmarks"],
         design_doc=REPO / "DESIGN.md",
         fault_registry=PLAN,
+        reference_roots=[REPO / "examples", REPO / "perfbench"],
     )
     assert result.ok, result.render()
 

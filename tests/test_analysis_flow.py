@@ -425,6 +425,98 @@ def test_res002_waived_split_phase_does_not_propagate(tmp_path):
     assert result.ok
 
 
+# ------------------------------------------------------------------- DED001
+
+
+def dead_code(tmp_path, source, refs=None):
+    """Analyze ``src/mod.py`` with DED001 on; ``refs`` maps file names
+    under ``tmp_path/refs`` to reference-only sources."""
+    (tmp_path / "src").mkdir(parents=True, exist_ok=True)
+    (tmp_path / "src" / "mod.py").write_text(textwrap.dedent(source))
+    ref_dir = tmp_path / "refs"
+    ref_dir.mkdir(exist_ok=True)
+    for name, text in (refs or {}).items():
+        (ref_dir / name).write_text(textwrap.dedent(text))
+    return run_paths(
+        [tmp_path / "src"],
+        design_doc=tmp_path / "NO_DESIGN.md",
+        fault_registry=PLAN,
+        qp_protocol=QP,
+        reference_roots=[ref_dir],
+    )
+
+
+def test_ded001_fires_on_unreferenced_public_defs(tmp_path):
+    result = dead_code(
+        tmp_path,
+        """
+        __all__ = ["exported", "Box"]
+
+        def exported():
+            return 1
+
+        class Box:
+            def used(self):
+                return self.helper()
+
+            def helper(self):
+                return 2
+
+            def orphan(self):
+                return 3
+        """,
+        refs={"user.py": "from mod import Box\nBox().used()\n"},
+    )
+    # Listing a name in __all__ is not a use; a call through self is.
+    assert codes(result) == ["DED001", "DED001"]
+    messages = sorted(f.message for f in result.findings)
+    assert "Box.orphan" in messages[0] and "exported" in messages[1]
+
+
+def test_ded001_silent_on_references_privates_nested_and_waivers(tmp_path):
+    result = dead_code(
+        tmp_path,
+        """
+        def by_string():
+            return 1
+
+        def by_reference_tree():
+            return 2
+
+        def _private():
+            def nested():
+                return 3
+            return nested
+
+        # repro: allow[DED001] kept as public API on purpose
+        def waived():
+            return 4
+
+        TABLE = [("by_string", 1)]
+        """,
+        refs={"bench.py": "import mod\nmod.by_reference_tree()\n"},
+    )
+    assert codes(result) == []
+    assert result.waivers_honoured == 1
+
+
+def test_ded001_is_off_without_reference_roots(tmp_path):
+    """Without the consuming trees "unreferenced" is a guess: the rule
+    stays off, and a DED001 waiver is not reported as unused."""
+    result = analyze(
+        tmp_path,
+        """
+        # repro: allow[DED001] kept as public API on purpose
+        def waived():
+            return 1
+
+        def orphan():
+            return 2
+        """,
+    )
+    assert codes(result) == []
+
+
 # ------------------------------------------------------------------- WAI003
 
 

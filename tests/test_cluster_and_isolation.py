@@ -4,7 +4,6 @@ import pytest
 
 from repro import (
     CThread,
-    Descriptor,
     Driver,
     Environment,
     LocalSg,
@@ -17,7 +16,7 @@ from repro import (
 )
 from repro.apps import PassThroughApp
 from repro.cluster import FpgaCluster
-from repro.driver import DriverError
+from repro.driver import DriverError, Slice
 from repro.sim import AllOf
 
 
@@ -66,18 +65,17 @@ def test_descriptor_for_foreign_vfpga_rejected():
     shell.load_app(0, PassThroughApp())
     shell.load_app(1, PassThroughApp())
     driver.open(1, 0)  # pid 1 owns vFPGA 0
-    rogue = Descriptor(vfpga_id=1, pid=1, vaddr=0x1000, length=4096)
     with pytest.raises(DriverError, match="bound to vFPGA 0"):
-        driver.post_descriptor(rogue, write=False)
+        driver.post_descriptor(1, 1, read=Slice(vaddr=0x1000, length=4096))
+    assert driver.ring_descriptors == 0
 
 
 def test_unregistered_pid_rejected():
     env = Environment()
     shell = Shell(env, ShellConfig(num_vfpgas=1))
     driver = Driver(env, shell)
-    rogue = Descriptor(vfpga_id=0, pid=99, vaddr=0x1000, length=4096)
     with pytest.raises(DriverError, match="not registered"):
-        driver.post_descriptor(rogue, write=False)
+        driver.post_descriptor(99, 0, read=Slice(vaddr=0x1000, length=4096))
 
 
 # -------------------------------------------------------------- determinism

@@ -15,7 +15,7 @@ import pytest
 
 from repro.cluster import FpgaCluster
 from repro.core import ServiceConfig
-from repro.core.interfaces import Descriptor
+from repro.driver import Slice
 from repro.faults import (
     LINK_FLAP,
     NET_PARTITION,
@@ -271,16 +271,14 @@ def test_node_down_rejects_new_work_until_restored():
 
     proc = env.process(alloc())
     env.run(proc)
-    descriptor = Descriptor(
-        vfpga_id=0, pid=7, vaddr=proc.value.vaddr, length=64
-    )
+    read = Slice(vaddr=proc.value.vaddr, length=64)
     cluster.crash_node(0)
     with pytest.raises(NodeDownError) as exc_info:
-        driver.post_descriptor(descriptor, write=False)
+        driver.post_descriptor(7, 0, read=read)
     assert exc_info.value.node_index == 0
     assert "node 0 is down" in str(exc_info.value)
     cluster.restore_node(0)
-    driver.post_descriptor(descriptor, write=False)  # admitted again
+    driver.post_descriptor(7, 0, read=read)  # admitted again
     env.run()
 
 

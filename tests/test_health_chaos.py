@@ -136,7 +136,8 @@ def test_hang_plus_drop_ends_degraded_not_deadlocked():
     assert states[0] == "degraded"
 
     # Every submitted request resolved: nothing left pending anywhere.
-    assert all(not ctx.pending for ctx in run["driver"].processes.values())
+    assert all(not ctx.rings.outstanding
+               for ctx in run["driver"].processes.values())
     # Every client attempt reached a terminal outcome.
     assert all(a in ("ok", "recovered", "decoupled", "quarantined")
                for a in run["attempts"])
@@ -168,7 +169,7 @@ def test_different_seeds_may_diverge_but_all_invariants_hold():
     for seed in (1, 99, 12345):
         run = _chaos_run(seed=seed)
         assert run["received"] == run["payload"]
-        assert all(not ctx.pending
+        assert all(not ctx.rings.outstanding
                    for ctx in run["driver"].processes.values())
         assert run["health"]["card"] in ("degraded", "healthy")
         assert run["attempts"].count("ok") >= 3

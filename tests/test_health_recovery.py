@@ -154,7 +154,7 @@ def test_hung_tenant_is_recovered_and_isolated():
     assert states[1] == "healthy"
     assert report["card"] == "degraded"
     # Nothing unresolved: every pending completion was failed or delivered.
-    assert all(not ctx.pending for ctx in driver.processes.values())
+    assert all(not ctx.rings.outstanding for ctx in driver.processes.values())
     # The healthy tenant is isolated from the recovery storm next door.
     assert outcome["bystander_ns"] == pytest.approx(
         baseline["bystander_ns"], rel=0.10

@@ -19,7 +19,7 @@ from repro.apps import AesEcbApp, PassThroughApp
 from repro.cluster import FpgaCluster
 from repro.driver.errors import ProcessClosedError
 from repro.driver.report import card_report
-from repro.driver.ringbuf import RingOp, RingOpcode
+from repro.driver.ringbuf import RingOp, RingOpcode, Slice
 from repro.faults import FaultInjector, FaultPlan, FaultRule
 from repro.faults.plan import MIGRATE_TRANSFER_DROP
 from repro.health import (
@@ -242,11 +242,12 @@ def test_close_fails_pending_waiters_and_unpins_mr_pages():
         thread = CThread(driver, 0, pid=4)
         buf = yield from thread.get_mem(PAGE_4K, alloc_type=AllocType.REG)
         yield from thread.register_mr(buf.vaddr, PAGE_4K)
-        ctx = driver.processes[4]
-        event = ctx.expect(env, False, 99)
+        # A write half with no kernel output behind it stays in flight.
+        batch = driver.post_descriptor(4, 0, write=Slice(buf.vaddr, PAGE_4K))
+        assert driver.processes[4].rings.outstanding == 1
         driver.close(4)
         try:
-            yield event
+            yield batch.event
         except ProcessClosedError as exc:
             failures.append(exc)
 

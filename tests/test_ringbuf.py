@@ -14,7 +14,6 @@ import pytest
 
 from repro import CThread, Driver, Environment, Shell, ShellConfig
 from repro.apps import PassThroughApp
-from repro.core import Descriptor
 from repro.driver import (
     CommandRing,
     DriverError,
@@ -28,6 +27,7 @@ from repro.driver import (
     RingFullError,
     RingOp,
     RingOpcode,
+    Slice,
     ZeroLengthDescriptorError,
 )
 from repro.faults import RING_DOORBELL_DROP, FaultInjector, FaultPlan, FaultRule
@@ -252,11 +252,9 @@ def test_post_many_end_to_end_single_doorbell():
     rings = driver.processes[1].rings
     assert rings.batches_completed == rings.batches_opened == 1
     assert rings.outstanding == 0
-    # TRANSFER read halves were absorbed by the batch, not leaked to the
-    # legacy per-process completion stores.
-    ctx = driver.processes[1]
-    assert not ctx.completions_rd.items and not ctx.completions_wr.items
-    assert not ctx.pending
+    # TRANSFER read halves were absorbed by the batch: the router keeps
+    # no gate and no absorb key once the batch completed.
+    assert not rings._gates and not rings._absorbed
 
 
 def test_post_many_full_ring_stalls_and_re_rings():
@@ -297,12 +295,11 @@ def test_post_descriptor_zero_length_rejected():
     """Regression: a zero-length descriptor produces no packets (so no
     completion, so a hang).  The submit path must reject it up front."""
     env, shell, driver, thread = make_thread()
-    desc = Descriptor(vfpga_id=0, pid=1, vaddr=0x1000, length=64)
-    desc.length = 0  # __post_init__ validates; emulate a corrupted ioctl
     with pytest.raises(ZeroLengthDescriptorError) as excinfo:
-        driver.post_descriptor(desc, write=False)
+        driver.post_descriptor(1, 0, read=Slice(vaddr=0x1000, length=0))
     assert isinstance(excinfo.value, DriverError)  # typed, catchable as both
     assert driver.ring_descriptors == 0  # rejected before the ring
+    assert driver.processes[1].rings.batches_opened == 0
 
 
 def test_setup_rings_refuses_rearm_with_work_in_flight():

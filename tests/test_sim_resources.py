@@ -145,6 +145,37 @@ def test_store_try_get_nonblocking():
     assert store.try_get() is None
 
 
+def test_store_put_many_feeds_getters_in_order_then_queues():
+    env = Environment()
+    store = Store(env)
+    got = []
+
+    def getter(tag):
+        item = yield store.get()
+        got.append((tag, item, env.now))
+
+    for tag in ("g0", "g1"):
+        env.process(getter(tag))
+    env.run()  # both getters parked on the empty store
+
+    burst = store.put_many(["a", "b", "c", "d"])
+    # The oldest getter takes the first item; the rest queue in order.
+    assert list(store.items) == ["c", "d"]
+    events_before = env.events_processed
+    env.run()
+    assert got == [("g0", "a", 0.0), ("g1", "b", 0.0)]
+    assert burst.triggered and burst.ok
+    # Two getter wakeups, two getter-process ends and one burst event.
+    assert env.events_processed - events_before == 5
+    assert store.try_get() == "c" and store.try_get() == "d"
+
+
+def test_store_put_many_refuses_bounded_store():
+    env = Environment()
+    with pytest.raises(SimulationError, match="unbounded"):
+        Store(env, capacity=2).put_many([1])
+
+
 def test_store_len_and_free():
     env = Environment()
     store = Store(env, capacity=3)
